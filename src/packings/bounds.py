@@ -4,12 +4,18 @@ Every function returns a BoundReport carrying a value (or None when the
 method does not apply), a provenance label, and the intermediate quantities
 behind the value.  All boundary comparisons use exact integer or rational
 arithmetic; nothing here touches floating point.
+
+One scan and one window loop serve every case: the second Johnson bound is
+the lam = 1 case of the convexity bound, and the directed window is the
+(t, lam) = (2, 2) case of the main counting window.  ``bound_candidates``
+alone decides which bounds apply, and ``best_upper_bound`` is the minimum
+of its list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .core import DesignParams, choose
@@ -87,28 +93,22 @@ def sj_quadratic_feasible(d: int, v: int, k: int, t: int = 2) -> bool:
 def second_johnson(v: int, k: int, t: int = 2) -> BoundReport:
     """Largest block count passing the quadratic counting test (lam = 1).
 
-    Scans upward and returns one less than the first failing count; a design
-    of the failing size would contain one of every smaller size, so the first
-    failure is decisive.  The weaker closed form v(k+1-t) // (k^2 - v(t-1))
-    is reported in the detail when v(t-1) < k^2.
+    Doubling both sides of the convexity test at lam = 1 gives the quadratic
+    one, so this is ``gen_second_johnson_bound`` at lam = 1 under its own
+    name.  The weaker closed form v(k+1-t) // (k^2 - v(t-1)) is added to the
+    detail when v(t-1) < k^2.
     """
     if not v >= k >= t >= 2:
         raise ValueError(f"require v >= k >= t >= 2, got v={v} k={k} t={t}")
+    params = DesignParams(v, k, t, 1)
+    return _as_second_johnson(gen_second_johnson_bound(params), params)
+
+
+def _as_second_johnson(rep: BoundReport, params: DesignParams) -> BoundReport:
+    """The lam = 1 convexity report relabelled, with the closed form added."""
+    v, k, t = params.v, params.k, params.t
     closed = v * (k + 1 - t) // (k * k - v * (t - 1)) if v * (t - 1) < k * k else None
-    cap = johnson_schonheim(DesignParams(v, k, t, 1)).value
-    for d in range(cap + 2):
-        if not sj_quadratic_feasible(d, v, k, t):
-            q, r = divmod(d * k, v)
-            return BoundReport(
-                d - 1,
-                SECOND_JOHNSON,
-                {"closed_form": closed, "first_infeasible": d, "q": q, "r": r},
-            )
-    # no failure at or below the nested-floor bound: the test adds nothing
-    return BoundReport(
-        None, SECOND_JOHNSON,
-        {"closed_form": closed, "first_infeasible": None, "scanned_to": cap + 1},
-    )
+    return BoundReport(rep.value, SECOND_JOHNSON, {"closed_form": closed, **rep.detail})
 
 
 def gen_second_johnson_feasible(d: int, params: DesignParams) -> bool:
@@ -227,11 +227,13 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
         hi = _window_edge(n + 1, k, t, lam)
         if lo <= lam * v < hi:
             hits.append((n, lo, hi))
-    assert len(hits) <= 1, f"overlapping windows for {params}: {hits}"
+    if len(hits) > 1:
+        raise RuntimeError(f"overlapping windows for {params}: {hits}")
     if hits:
         n, lo, hi = hits[0]
         # a nonempty window forces k > (t-1) * C(n, lam)
-        assert k > (t - 1) * choose(n, lam)
+        if k <= (t - 1) * choose(n, lam):
+            raise RuntimeError(f"window at n={n} for {params} has k <= (t-1)*C(n, lam)")
         return BoundReport(n, EXACT_WINDOW, {"n": n, "window": (lo, hi)}, exact=True)
     lo = _window_edge(ell, k, t, lam)
     hi = Fraction((lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1), lam + 2)
@@ -263,28 +265,43 @@ def exact_family(n: int, t: int, lam: int) -> BoundReport:
 def exact_dpdn_by_theorem(v: int, k: int) -> BoundReport:
     """Exact directed packing number when the doubled window applies.
 
-    Returns n when nk - C(n,3) <= 2v < (n+1)k - C(n+1,3); the directed value
+    Returns n when nk - C(n,3) <= 2v < (n+1)k - C(n+1,3), which is the main
+    window of ``exact_by_theorems`` at (t, lam) = (2, 2); the directed value
     then coincides with the unordered packing number at multiplicity two.
     """
-    if not v >= k >= 2:
-        raise ValueError(f"require v >= k >= 2, got v={v} k={k}")
-    for n in range(1, _least_ell(k, 2, 2) + 1):
-        lo = n * k - choose(n, 3)
-        hi = (n + 1) * k - choose(n + 1, 3)
-        if lo <= 2 * v < hi:
-            return BoundReport(n, EXACT_DIRECTED, {"n": n, "window": (lo, hi)}, exact=True)
-    return BoundReport(None, EXACT_DIRECTED, {"reason": "outside the window"})
+    rep = exact_by_theorems(DesignParams(v, k, 2, 2))
+    if rep.value is None or rep.provenance != EXACT_WINDOW:
+        return BoundReport(None, EXACT_DIRECTED, {"reason": "outside the window"})
+    return replace(rep, provenance=EXACT_DIRECTED)
 
 
-def bound_candidates(params: DesignParams, *, include_exact: bool = True) -> list[BoundReport]:
-    """Every bound that can be evaluated at these parameters, in report order."""
+def bound_candidates(
+    params: DesignParams, *, directed: bool = False, include_exact: bool = True
+) -> list[BoundReport]:
+    """Every bound that can be evaluated at these parameters, in report order.
+
+    Reports whose method does not apply stay in the list with value None.
+    For directed problems the list is the directed window when
+    (t, lam) = (2, 1), then every report for the shadow packing at
+    multiplicity t! * lam, relabelled ``VIA_UNDIRECTED``.
+    """
     v, k, t, lam = params.v, params.k, params.t, params.lam
+    if directed:
+        out = []
+        if include_exact and (t, lam) == (2, 1):
+            out.append(exact_dpdn_by_theorem(v, k))
+        shadow = params.with_lam(math.factorial(t) * lam)
+        for rep in bound_candidates(shadow, include_exact=include_exact):
+            detail = {"underlying": rep.provenance, "shadow_lam": shadow.lam, "detail": rep.detail}
+            out.append(BoundReport(rep.value, VIA_UNDIRECTED, detail))
+        return out
     out = [johnson_schonheim(params)]
     if t == 2:
         out.append(hanani_b(v, k, lam))
-    out.append(gen_second_johnson_bound(params))
+    convexity = gen_second_johnson_bound(params)
+    out.append(convexity)
     if lam == 1 and t >= 2:
-        out.append(second_johnson(v, k, t))
+        out.append(_as_second_johnson(convexity, params))
     if t == 2 and 3 <= k < v:
         out.append(horsley_bound_1(v, k, lam))
         out.append(horsley_bound_2(v, k, lam))
@@ -293,12 +310,14 @@ def bound_candidates(params: DesignParams, *, include_exact: bool = True) -> lis
     return out
 
 
-def _pick_min(candidates: list[BoundReport]) -> BoundReport:
+def least_bound(params: DesignParams, candidates: list[BoundReport]) -> BoundReport:
+    """The first candidate with the smallest value."""
     best = None
     for rep in candidates:
         if rep.value is not None and (best is None or rep.value < best.value):
             best = rep
-    assert best is not None  # the nested-floor bound always applies
+    if best is None:  # the nested-floor bound always applies
+        raise RuntimeError(f"no applicable bound for {params}")
     return best
 
 
@@ -307,26 +326,12 @@ def best_upper_bound(
 ) -> BoundReport:
     """Smallest applicable upper bound, reporting which method won.
 
-    For directed problems every unordered bound is applied to the shadow
-    packing at multiplicity t! * lam, alongside the directed window when
-    (t, lam) = (2, 1).  ``include_exact=False`` drops the exact-value windows,
-    leaving only the classical bounds (used by the search oracle so that its
-    certificates stay independent of the windows under test).
+    The minimum of ``bound_candidates``: for directed problems every
+    unordered bound is applied to the shadow packing at multiplicity
+    t! * lam, alongside the directed window when (t, lam) = (2, 1).
+    ``include_exact=False`` drops the exact-value windows, leaving only the
+    classical bounds (used by the search oracle so that its certificates
+    stay independent of the windows under test).
     """
-    if not directed:
-        return _pick_min(bound_candidates(params, include_exact=include_exact))
-    candidates: list[BoundReport] = []
-    if include_exact and (params.t, params.lam) == (2, 1):
-        candidates.append(exact_dpdn_by_theorem(params.v, params.k))
-    shadow = params.with_lam(math.factorial(params.t) * params.lam)
-    for rep in bound_candidates(shadow, include_exact=include_exact):
-        if rep.value is None:
-            continue
-        candidates.append(
-            BoundReport(
-                rep.value,
-                VIA_UNDIRECTED,
-                {"underlying": rep.provenance, "shadow_lam": shadow.lam, "detail": rep.detail},
-            )
-        )
-    return _pick_min(candidates)
+    candidates = bound_candidates(params, directed=directed, include_exact=include_exact)
+    return least_bound(params, candidates)

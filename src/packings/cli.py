@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds as bd
@@ -63,27 +62,18 @@ def _params(args) -> DesignParams:
     return DesignParams(args.v, args.k, args.t, args.lam)
 
 
-def _bound_rows(params: DesignParams, directed: bool) -> list[tuple[str, int | None, bool]]:
-    rows: list[tuple[str, int | None, bool]] = []
-    if directed:
-        if (params.t, params.lam) == (2, 1):
-            rep = bd.exact_dpdn_by_theorem(params.v, params.k)
-            rows.append((rep.provenance, rep.value, rep.exact))
-        shadow = params.with_lam(math.factorial(params.t) * params.lam)
-        for rep in bd.bound_candidates(shadow):
-            rows.append((f"{bd.VIA_UNDIRECTED}({rep.provenance})", rep.value, False))
-        return rows
-    for rep in bd.bound_candidates(params):
-        rows.append((rep.provenance, rep.value, rep.exact))
-        if rep.provenance == bd.SECOND_JOHNSON and rep.detail.get("closed_form") is not None:
-            rows.append((f"{bd.SECOND_JOHNSON}(closed)", rep.detail["closed_form"], False))
-    return rows
-
-
 def cmd_bounds(args) -> int:
     params = _params(args)
-    rows = _bound_rows(params, args.directed)
-    best = best_upper_bound(params, directed=args.directed)
+    reports = bd.bound_candidates(params, directed=args.directed)
+    best = bd.least_bound(params, reports)
+    rows: list[tuple[str, int | None, bool]] = []
+    for rep in reports:
+        name = rep.provenance
+        if name == bd.VIA_UNDIRECTED:
+            name = f"{name}({rep.detail['underlying']})"
+        rows.append((name, rep.value, rep.exact))
+        if name == bd.SECOND_JOHNSON and rep.detail["closed_form"] is not None:
+            rows.append((f"{bd.SECOND_JOHNSON}(closed)", rep.detail["closed_form"], False))
     if args.tsv:
         print("provenance\tvalue\tkind")
         for name, value, exact in rows:
@@ -165,6 +155,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export_code(args) -> int:
+    if args.check_deletions is not None and args.format != "indel":
+        raise ValueError("--check-deletions applies to indel codes only")
     doc = load_design(args.input)
     params = doc.params
     if args.format == "cw":
@@ -175,16 +167,16 @@ def cmd_export_code(args) -> int:
         if not doc.directed:
             raise ValueError("deletion-code export needs a directed design")
         code = to_indel_code(doc.design, params)
+    # run the check before any output, so a rejected deletion count writes nothing
+    s = args.check_deletions
+    ok = None if s is None else deletion_channel_check(code, s)
     if args.output:
         save_code(args.output, code)
         print(f"exported {len(code.words)} words -> {args.output}")
     else:
         print(json.dumps(code_to_dict(code), indent=2))
-    if args.check_deletions is not None:
-        if args.format != "indel":
-            raise ValueError("--check-deletions applies to indel codes only")
-        ok = deletion_channel_check(code, args.check_deletions)
-        print(f"deletion check (s={args.check_deletions}): {'pass' if ok else 'fail'}")
+    if ok is not None:
+        print(f"deletion check (s={s}): {'pass' if ok else 'fail'}")
         if not ok:
             return EXIT_INVALID
     return EXIT_OK
@@ -197,12 +189,11 @@ def cmd_table(args) -> int:
             if k < args.t:
                 continue
             params = DesignParams(v, k, args.t, args.lam)
-            exact = exact_by_theorems(params)
-            if exact.value is not None:
-                rows.append((v, k, exact.value, "exact", exact.provenance))
-            else:
+            # an exact window wins outright, even over a classical bound tied with it
+            best = exact_by_theorems(params) if args.t >= 2 else None
+            if best is None or best.value is None:
                 best = best_upper_bound(params)
-                rows.append((v, k, best.value, "upper", best.provenance))
+            rows.append((v, k, best.value, "exact" if best.exact else "upper", best.provenance))
     if args.tsv:
         print("v\tk\tvalue\tkind\tprovenance")
         for row in rows:

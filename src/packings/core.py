@@ -166,17 +166,13 @@ def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
             raise ValueError(f"block {block} larger than k={params.k}")
 
 
-def validate_packing(
-    design: PackingDesign, params: DesignParams, *, uniform: bool = False
-) -> ValidationReport:
-    """Check that every t-subset of points lies in at most lam blocks.
-
-    Repeated blocks count separately.  ``uniform`` additionally requires every
-    block to have size exactly k (the default allows any size up to k).
-    """
+def _validate(design: Design, params: DesignParams, uniform: bool) -> ValidationReport:
     _check_sizes(design, params, uniform)
     counts: Counter = Counter()
     for block in design.blocks:
+        # positions chosen in increasing order give the t-subsets of a sorted
+        # block and exactly the ordered t-tuples occurring as subsequences of
+        # a directed one
         for sub in combinations(block, params.t):
             counts[sub] += 1
     worst, mult = _worst(counts)
@@ -186,6 +182,17 @@ def validate_packing(
         ("t-multiplicity", valid, {"t_set": worst, "multiplicity": mult, "limit": params.lam}),
     )
     return ValidationReport(valid, worst, mult, diagnostics)
+
+
+def validate_packing(
+    design: PackingDesign, params: DesignParams, *, uniform: bool = False
+) -> ValidationReport:
+    """Check that every t-subset of points lies in at most lam blocks.
+
+    Repeated blocks count separately.  ``uniform`` additionally requires every
+    block to have size exactly k (the default allows any size up to k).
+    """
+    return _validate(design, params, uniform)
 
 
 def validate_directed(
@@ -196,20 +203,7 @@ def validate_directed(
     A t-tuple occurs in a block whenever its entries appear there in order;
     they need not be consecutive.
     """
-    _check_sizes(design, params, uniform)
-    counts: Counter = Counter()
-    for block in design.blocks:
-        # positions chosen in increasing order give exactly the ordered
-        # t-tuples occurring as subsequences
-        for sub in combinations(block, params.t):
-            counts[sub] += 1
-    worst, mult = _worst(counts)
-    valid = mult <= params.lam
-    diagnostics = (
-        ("block-sizes", True, None),
-        ("t-multiplicity", valid, {"t_set": worst, "multiplicity": mult, "limit": params.lam}),
-    )
-    return ValidationReport(valid, worst, mult, diagnostics)
+    return _validate(design, params, uniform)
 
 
 def structural_diagnostics(

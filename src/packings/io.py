@@ -65,6 +65,8 @@ def design_from_dict(data: object) -> DesignDocument:
     v = _require_int(data, "v")
     t = _require_int(data, "t")
     lam = _require_int(data, "lambda")
+    if t < 1 or lam < 1:
+        raise StructuralError(f"malformed design file: need t, lambda >= 1, got {t}, {lam}")
     k = data["k"] if data["k"] is None else _require_int(data, "k")
     directed = data["directed"]
     if not isinstance(directed, bool):
@@ -141,20 +143,25 @@ def code_from_dict(data: object) -> Union[ConstantWeightCode, IndelCode]:
     if not isinstance(data, dict) or "type" not in data:
         raise StructuralError("malformed code file: expected an object with a 'type'")
     kind = data["type"]
+    if kind not in ("cw", "indel"):
+        raise StructuralError(f"malformed code file: unknown type {kind!r}")
+    keys = ("length", "weight" if kind == "cw" else "alphabet", "words")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise StructuralError(f"malformed code file: missing keys {missing}")
     if kind == "cw":
-        words = tuple(
-            tuple(int(ch) for ch in word) for word in data["words"]
-        )
+        try:
+            words = tuple(tuple(int(ch) for ch in word) for word in data["words"])
+        except ValueError as exc:
+            raise StructuralError(f"malformed code file: {exc}") from None
         return ConstantWeightCode(data["length"], data["weight"], words)
-    if kind == "indel":
-        words = tuple(tuple(w) for w in data["words"])
-        repeats = any(len(set(w)) != len(w) for w in words)
-        # stored codes are pair-based: capability is word length minus two
-        return IndelCode(
-            data["alphabet"], data["length"], words, data["length"] - 2,
-            allow_repeats=repeats,
-        )
-    raise StructuralError(f"malformed code file: unknown type {kind!r}")
+    words = tuple(tuple(w) for w in data["words"])
+    repeats = any(len(set(w)) != len(w) for w in words)
+    # stored codes are pair-based: capability is word length minus two
+    return IndelCode(
+        data["alphabet"], data["length"], words, data["length"] - 2,
+        allow_repeats=repeats,
+    )
 
 
 def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> None:

@@ -23,6 +23,7 @@ from packings.bounds import (
     EXACT_WINDOW,
     GEN_SECOND_JOHNSON,
     _least_ell,
+    least_bound,
     sj_quadratic_feasible,
 )
 from packings.core import choose
@@ -80,6 +81,15 @@ class TestSecondJohnson:
         assert rep.detail["closed_form"] == 5
         assert not sj_quadratic_feasible(5, 14, 5, 2)
         assert rep.value == 4
+
+    def test_is_the_convexity_bound_at_lam_one(self):
+        for t in (2, 3):
+            for k in range(t, 8):
+                for v in range(k, 30):
+                    rep = second_johnson(v, k, t)
+                    gen = gen_second_johnson_bound(DesignParams(v, k, t, 1))
+                    assert rep.value == gen.value
+                    assert {key: rep.detail[key] for key in gen.detail} == gen.detail
 
     def test_closed_form_boundary(self):
         # v(t-1) = 25 = k^2: closed form not applicable
@@ -169,8 +179,8 @@ class TestExactByTheorems:
         assert exact_by_theorems(DesignParams(12, 3, 2, 1)).value is None
 
     def test_window_consistency_over_grid(self):
-        # whenever the main window fires, k > (t-1)*C(n, lam) is asserted
-        # internally; this sweep exercises the assertion
+        # whenever the main window fires, k > (t-1)*C(n, lam) is checked
+        # internally and a failure raises; this sweep exercises the check
         for lam in (1, 2, 3):
             for t in (2, 3):
                 for k in range(t, 9):
@@ -241,6 +251,16 @@ class TestExactDirected:
         for k in range(2, 9):
             assert exact_dpdn_by_theorem(k, k).value == 2
 
+    def test_is_the_main_window_at_lam_two(self):
+        for k in range(2, 15):
+            for v in range(k, 60):
+                rep = exact_dpdn_by_theorem(v, k)
+                window = exact_by_theorems(DesignParams(v, k, 2, 2))
+                if window.provenance == EXACT_WINDOW and window.value is not None:
+                    assert (rep.value, rep.detail) == (window.value, window.detail)
+                else:
+                    assert rep.value is None
+
 
 class TestBestUpperBound:
     def test_convexity_bound_wins(self):
@@ -259,6 +279,10 @@ class TestBestUpperBound:
         rep = best_upper_bound(DesignParams(9, 4, 2, 1), directed=True)
         shadow_best = best_upper_bound(DesignParams(9, 4, 2, 2))
         assert rep.value <= shadow_best.value
+
+    def test_no_applicable_bound_raises(self):
+        with pytest.raises(RuntimeError, match="no applicable bound"):
+            least_bound(DesignParams(6, 3, 2, 1), [])
 
     def test_classical_only_mode_excludes_windows(self):
         rep = best_upper_bound(DesignParams(8, 4, 2, 1), include_exact=False)

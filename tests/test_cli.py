@@ -1,6 +1,7 @@
 import json
 
 from packings import DesignParams, best_upper_bound, exact_by_theorems, pdn_exact
+from packings.bounds import VIA_UNDIRECTED, bound_candidates
 from packings.cli import main
 from packings.io import dumps_design, load_design
 from packings.io import DesignDocument
@@ -41,6 +42,30 @@ class TestBounds:
     def test_bad_flags(self, capsys):
         code, _, err = run(capsys, "bounds", "--v", "3")
         assert code == 1 and "error" in err
+
+    def test_tsv_rows_and_best_match_library_over_grid(self, capsys):
+        grid = [(2, 1, 3, 7), (2, 1, 5, 14), (2, 2, 4, 11), (3, 1, 4, 9), (3, 2, 5, 12)]
+        for t, lam, k, v in grid:
+            for directed in (False, True):
+                params = DesignParams(v, k, t, lam)
+                argv = ["bounds", "--v", str(v), "--k", str(k), "--t", str(t),
+                        "--lambda", str(lam), "--tsv"] + (["--directed"] if directed else [])
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                rows = [line.split("\t") for line in out.splitlines()[1:]]
+                shown = [row for row in rows[:-1] if not row[0].endswith("(closed)")]
+                reports = bound_candidates(params, directed=directed)
+                assert len(shown) == len(reports)
+                for (name, value, kind), rep in zip(shown, reports):
+                    if rep.provenance == VIA_UNDIRECTED:
+                        assert name == f"{VIA_UNDIRECTED}({rep.detail['underlying']})"
+                    else:
+                        assert name == rep.provenance
+                    assert value == ("" if rep.value is None else str(rep.value))
+                    applies = rep.value is not None
+                    assert kind == ("exact" if rep.exact else "upper" if applies else "n/a")
+                best = best_upper_bound(params, directed=directed)
+                assert rows[-1] == ["best", str(best.value), best.provenance]
 
 
 class TestConstruct:
@@ -102,6 +127,15 @@ class TestDirectVerify:
         code, _, err = run(capsys, "direct", "-i", str(src))
         assert code == 1 and "already directed" in err
 
+    def test_direct_rejects_zero_multiplicity(self, capsys, tmp_path):
+        src = tmp_path / "bad.json"
+        src.write_text(
+            '{"v": 4, "k": 3, "t": 2, "lambda": 0, "directed": false, "blocks": [[0, 1, 2]]}'
+        )
+        code, out, err = run(capsys, "direct", "-i", str(src))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed design file") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "-i", "/nonexistent/x.json")
         assert code == 1 and "error" in err
@@ -162,6 +196,25 @@ class TestExportCode:
         assert code == 1
         assert "deletion check (s=6): fail" in out
 
+    def test_bad_deletion_flag_rejected_before_output(
+        self, capsys, tmp_path, pack_6_3, directed_12_7
+    ):
+        cw_src = tmp_path / "cw.json"
+        cw_src.write_text(dumps_design(DesignDocument(pack_6_3, 3, 2, 1)))
+        indel_src = tmp_path / "indel.json"
+        indel_src.write_text(dumps_design(DesignDocument(directed_12_7, 7, 2, 1)))
+        dst = tmp_path / "c.json"
+        cases = [(cw_src, "cw", "1"), (indel_src, "indel", "8"), (indel_src, "indel", "-1")]
+        for src, fmt, s in cases:
+            for out_args in ([], ["-o", str(dst)]):
+                code, out, err = run(
+                    capsys, "export-code", "-i", str(src), "--format", fmt,
+                    "--check-deletions", s, *out_args,
+                )
+                assert code == 1 and "error" in err
+                assert out == ""
+                assert not dst.exists()
+
     def test_format_design_mismatch(self, capsys, tmp_path, pack_6_3):
         src = tmp_path / "d.json"
         src.write_text(dumps_design(DesignDocument(pack_6_3, 3, 2, 1)))
@@ -200,3 +253,17 @@ class TestTable:
             v, k, value, kind, _ = line.split("\t")
             if kind == "exact":
                 assert pdn_exact(DesignParams(int(v), int(k), 2, 1)).n == int(value)
+
+    def test_t_one_gives_an_upper_row_per_cell(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "table", "--v-min", "3", "--v-max", "9",
+            "--k-min", "2", "--k-max", "4", "--t", "1", "--lambda", "2", "--tsv",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        cells = [(v, k) for v in range(3, 10) for k in range(2, min(4, v) + 1)]
+        assert len(lines) - 1 == len(cells)
+        for line, (v, k) in zip(lines[1:], cells):
+            best = best_upper_bound(DesignParams(v, k, 1, 2))
+            assert line.split("\t") == [str(v), str(k), str(best.value), "upper", best.provenance]

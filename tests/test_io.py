@@ -13,7 +13,13 @@ from packings import (
     to_constant_weight,
     to_indel_code,
 )
-from packings.io import DesignDocument, design_from_dict, dumps_design, loads_design
+from packings.io import (
+    DesignDocument,
+    code_from_dict,
+    design_from_dict,
+    dumps_design,
+    loads_design,
+)
 
 
 class TestDesignFiles:
@@ -95,6 +101,13 @@ class TestDesignFiles:
                 '{"v": 6, "k": 3, "t": 2, "lambda": 1, "directed": 1, "blocks": []}'
             )
 
+    def test_nonpositive_t_or_lambda(self):
+        for t, lam in [(0, 1), (2, 0), (-1, 1), (2, -3)]:
+            with pytest.raises(StructuralError, match="lambda >= 1"):
+                design_from_dict(
+                    {"v": 4, "k": 3, "t": t, "lambda": lam, "directed": False, "blocks": []}
+                )
+
 
 class TestCodeFiles:
     def test_constant_weight_round_trip(self, tmp_path, pack_6_3):
@@ -131,3 +144,13 @@ class TestCodeFiles:
         path.write_text('{"type": "mystery", "words": []}')
         with pytest.raises(StructuralError, match="unknown type"):
             load_code(path)
+
+    def test_missing_key(self):
+        with pytest.raises(StructuralError, match=r"missing keys \['weight'\]"):
+            code_from_dict({"type": "cw", "length": 3, "words": ["110"]})
+        with pytest.raises(StructuralError, match=r"missing keys \['alphabet'\]"):
+            code_from_dict({"type": "indel", "length": 2, "words": [[0, 1]]})
+
+    def test_bad_bit(self):
+        with pytest.raises(StructuralError, match="malformed code file"):
+            code_from_dict({"type": "cw", "length": 3, "weight": 2, "words": ["1x0"]})
