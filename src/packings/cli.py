@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bounds as bd
-from .bounds import NotApplicableError, best_upper_bound, exact_by_theorems
+from .bounds import NotApplicableError
 from .codes import deletion_channel_check, to_constant_weight, to_indel_code
 from .construct import construct_optimal
 from .core import (
@@ -189,10 +189,11 @@ def cmd_table(args) -> int:
             if k < args.t:
                 continue
             params = DesignParams(v, k, args.t, args.lam)
+            reports = bd.bound_candidates(params)
             # an exact window wins outright, even over a classical bound tied with it
-            best = exact_by_theorems(params) if args.t >= 2 else None
-            if best is None or best.value is None:
-                best = best_upper_bound(params)
+            best = next((rep for rep in reports if rep.exact), None)
+            if best is None:
+                best = bd.least_bound(params, reports)
             rows.append((v, k, best.value, "exact" if best.exact else "upper", best.provenance))
     if args.tsv:
         print("v\tk\tvalue\tkind\tprovenance")

@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (
-    DesignParams,
-    DirectedPackingDesign,
-    PackingDesign,
-    validate_directed,
-    validate_packing,
-)
+from .core import DesignParams, DirectedPackingDesign, PackingDesign, require_valid
 
 
 def lcs_length(a, b) -> int:
@@ -89,12 +83,7 @@ def to_constant_weight(design: PackingDesign, params: DesignParams) -> ConstantW
     """Characteristic vectors of the blocks of a multiplicity-one packing."""
     if params.lam != 1:
         raise ValueError("constant-weight equivalence requires lam = 1")
-    report = validate_packing(design, params, uniform=True)
-    if not report.valid:
-        raise ValueError(
-            f"design is invalid at lam=1: t-set {report.worst_t_set} "
-            f"has multiplicity {report.worst_multiplicity}"
-        )
+    require_valid(design, params, uniform=True)
     words = []
     for block in design.blocks:
         member = set(block)
@@ -119,12 +108,7 @@ def to_indel_code(design: DirectedPackingDesign, params: DesignParams) -> IndelC
     """
     if params.lam != 1:
         raise ValueError("the deletion-code equivalence requires lam = 1")
-    report = validate_directed(design, params, uniform=True)
-    if not report.valid:
-        raise ValueError(
-            f"design is invalid: t-tuple {report.worst_t_set} "
-            f"has multiplicity {report.worst_multiplicity}"
-        )
+    require_valid(design, params, uniform=True)
     return IndelCode(design.v, params.k, design.blocks, params.k - params.t)
 
 
@@ -162,7 +146,11 @@ def deletion_channel_check(code: IndelCode, s: int) -> bool:
             not (residues[i] & residues[j])
             for i, j in combinations(range(len(residues)), 2)
         )
-        assert via_enum == via_lcs
+        if via_enum != via_lcs:
+            raise RuntimeError(
+                f"LCS test ({via_lcs}) and residue enumeration ({via_enum}) disagree "
+                f"at k={k}, s={s} on {len(code.words)} words"
+            )
     return via_lcs
 
 

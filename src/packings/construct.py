@@ -99,7 +99,10 @@ def general_construction(
         # matters here, so the tuple size is immaterial (blocks may be
         # smaller than t)
         inner = balanced_packing(n, len(w_points), inner_k, 1)
-        assert -(-n * inner_k // len(w_points)) <= lam
+        if -(-n * inner_k // len(w_points)) > lam:
+            raise RuntimeError(
+                f"inner packing exceeds multiplicity {lam} at n={n} v={v} k={k} t={t}"
+            )
         inner_blocks = tuple(
             tuple(w_points[x] for x in block) for block in inner.blocks
         )

@@ -144,10 +144,18 @@ class ValidationReport:
     valid: bool
     worst_t_set: tuple[int, ...] | None
     worst_multiplicity: int
-    diagnostics: tuple[tuple[str, bool, object], ...] = ()
 
 
-def _worst(counts: Counter) -> tuple[tuple[int, ...] | None, int]:
+def worst_multiplicity(
+    blocks: Sequence[Sequence[int]], t: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The most-covered t-tuple and its count, the least tuple on ties.
+
+    Positions chosen in increasing order give the t-subsets of a sorted
+    block and exactly the ordered t-tuples occurring as subsequences of a
+    directed one.  Returns (None, 0) when no block has t points.
+    """
+    counts = Counter(sub for block in blocks for sub in combinations(block, t))
     if not counts:
         return None, 0
     top = max(counts.values())
@@ -168,20 +176,8 @@ def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
 
 def _validate(design: Design, params: DesignParams, uniform: bool) -> ValidationReport:
     _check_sizes(design, params, uniform)
-    counts: Counter = Counter()
-    for block in design.blocks:
-        # positions chosen in increasing order give the t-subsets of a sorted
-        # block and exactly the ordered t-tuples occurring as subsequences of
-        # a directed one
-        for sub in combinations(block, params.t):
-            counts[sub] += 1
-    worst, mult = _worst(counts)
-    valid = mult <= params.lam
-    diagnostics = (
-        ("block-sizes", True, None),
-        ("t-multiplicity", valid, {"t_set": worst, "multiplicity": mult, "limit": params.lam}),
-    )
-    return ValidationReport(valid, worst, mult, diagnostics)
+    worst, mult = worst_multiplicity(design.blocks, params.t)
+    return ValidationReport(mult <= params.lam, worst, mult)
 
 
 def validate_packing(
@@ -204,6 +200,17 @@ def validate_directed(
     they need not be consecutive.
     """
     return _validate(design, params, uniform)
+
+
+def require_valid(design: Design, params: DesignParams, *, uniform: bool = False) -> None:
+    """Raise ValueError naming the worst t-set unless the design's validator passes it."""
+    validate = validate_directed if isinstance(design, DirectedPackingDesign) else validate_packing
+    report = validate(design, params, uniform=uniform)
+    if not report.valid:
+        raise ValueError(
+            f"design is invalid at lam={params.lam}: t-set {report.worst_t_set} "
+            f"has multiplicity {report.worst_multiplicity}"
+        )
 
 
 def structural_diagnostics(

@@ -15,11 +15,9 @@ bug rather than bad data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .core import DirectedPackingDesign, PackingDesign, is_subsequence
+from .core import DirectedPackingDesign, PackingDesign, is_subsequence, worst_multiplicity
 
 
 class DirectingError(ValueError):
@@ -237,18 +235,14 @@ def insert_point(
 
 
 def _check_directable(design: PackingDesign) -> None:
-    pair_count: Counter = Counter()
-    for block in design.blocks:
-        for pair in combinations(block, 2):
-            pair_count[pair] += 1
-            if pair_count[pair] > 2:
-                raise DirectingError(
-                    f"not a 2-fold packing: pair {pair} appears more than twice"
-                )
-    freq: Counter = Counter(x for block in design.blocks for x in block)
-    for x in range(design.v):
-        if freq[x] > 3:
-            raise DirectingError(f"frequency bound violated at point {x}")
+    pair, mult = worst_multiplicity(design.blocks, 2)
+    if mult > 2:
+        raise DirectingError(f"not a 2-fold packing: pair {pair} appears {mult} times")
+    # a frequency is the multiplicity of a 1-tuple; counting only the points
+    # that occur keeps memory independent of v
+    point, freq = worst_multiplicity(design.blocks, 1)
+    if freq > 3:
+        raise DirectingError(f"frequency bound violated at point {point[0]}")
 
 
 def direct_packing(design: PackingDesign) -> DirectedPackingDesign:

@@ -38,10 +38,14 @@ class DesignDocument:
         return DesignParams(self.design.v, self.k, self.t, self.lam)
 
 
-def _require_int(data: dict, key: str) -> int:
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(data: dict, key: str, kind: str = "design") -> int:
     value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise StructuralError(f"malformed design file: {key!r} must be an integer")
+    if not _is_int(value):
+        raise StructuralError(f"malformed {kind} file: {key!r} must be an integer")
     return value
 
 
@@ -77,7 +81,7 @@ def design_from_dict(data: object) -> DesignDocument:
     blocks = []
     for block in raw_blocks:
         for x in block:
-            if not isinstance(x, int) or isinstance(x, bool):
+            if not _is_int(x):
                 raise StructuralError(f"malformed design file: point {x!r} is not an integer")
         blocks.append(tuple(block))
     design: Union[PackingDesign, DirectedPackingDesign]
@@ -149,19 +153,24 @@ def code_from_dict(data: object) -> Union[ConstantWeightCode, IndelCode]:
     missing = [key for key in keys if key not in data]
     if missing:
         raise StructuralError(f"malformed code file: missing keys {missing}")
+    length = _require_int(data, "length", "code")
+    size = _require_int(data, keys[1], "code")
+    words = data["words"]
     if kind == "cw":
-        try:
-            words = tuple(tuple(int(ch) for ch in word) for word in data["words"])
-        except ValueError as exc:
-            raise StructuralError(f"malformed code file: {exc}") from None
-        return ConstantWeightCode(data["length"], data["weight"], words)
-    words = tuple(tuple(w) for w in data["words"])
-    repeats = any(len(set(w)) != len(w) for w in words)
+        if not isinstance(words, list) or any(
+            not isinstance(w, str) or set(w) - {"0", "1"} for w in words
+        ):
+            raise StructuralError("malformed code file: 'words' must be a list of 0/1 strings")
+        bits = tuple(tuple(int(ch) for ch in word) for word in words)
+        return ConstantWeightCode(length, size, bits)
+    if not isinstance(words, list) or any(
+        not isinstance(w, list) or not all(_is_int(x) for x in w) for w in words
+    ):
+        raise StructuralError("malformed code file: 'words' must be a list of integer lists")
+    symbols = tuple(tuple(w) for w in words)
+    repeats = any(len(set(w)) != len(w) for w in symbols)
     # stored codes are pair-based: capability is word length minus two
-    return IndelCode(
-        data["alphabet"], data["length"], words, data["length"] - 2,
-        allow_repeats=repeats,
-    )
+    return IndelCode(size, length, symbols, length - 2, allow_repeats=repeats)
 
 
 def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> None:

@@ -18,8 +18,7 @@ from .core import (
     DirectedPackingDesign,
     PackingDesign,
     choose,
-    validate_directed,
-    validate_packing,
+    require_valid,
 )
 
 OPTIMAL = "optimal"
@@ -30,13 +29,10 @@ BUDGET_EXHAUSTED = "budget-exhausted lower bound"
 class SearchConfig:
     """Knobs for the exact search; budgets must be positive when present."""
 
-    max_blocks: int | None = None
     node_budget: int | None = None
     symmetry_breaking: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_blocks is not None and self.max_blocks < 1:
-            raise ValueError(f"max_blocks must be positive, got {self.max_blocks}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
 
@@ -77,7 +73,6 @@ def _search(
     symmetry breaking additionally roots the search at candidate 0, which
     any design can be relabeled to contain.
     """
-    hard_cap = bound_cap if cfg.max_blocks is None else min(bound_cap, cfg.max_blocks)
     per_block = len(cand_subs[0])
     r_cap = shadow_lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
 
@@ -94,7 +89,7 @@ def _search(
     s_conv = 0  # sum over points of C(freq, shadow_lam + 1)
     nodes = 0
 
-    conv_step = [choose(f, shadow_lam) for f in range(hard_cap + 2)]
+    conv_step = [choose(f, shadow_lam) for f in range(bound_cap + 2)]
     total_units = unit_cap * n_subs
 
     def extra_bound() -> int:
@@ -133,10 +128,10 @@ def _search(
             if c + 1 > best_n:
                 best_n = c + 1
                 best = chosen.copy()
-                if best_n >= hard_cap:
+                if best_n >= bound_cap:
                     raise _Done
-            if c + 1 < hard_cap:
-                reach = min(c + 1 + extra_bound(), hard_cap)
+            if c + 1 < bound_cap:
+                reach = min(c + 1 + extra_bound(), bound_cap)
                 # the frequency-distribution bound must admit some count
                 # above the incumbent for the branch to be worth exploring
                 if reach > best_n and s_conv <= (t - 1) * choose(reach, shadow_lam + 1):
@@ -153,11 +148,11 @@ def _search(
             for s in subs:
                 counts[s] -= 1
 
+    certificate = OPTIMAL
     try:
         dfs(0, 0)
-        certificate = OPTIMAL
     except _Done:
-        certificate = OPTIMAL if hard_cap >= bound_cap else BUDGET_EXHAUSTED
+        pass
     except _Budget:
         certificate = BUDGET_EXHAUSTED
     return best_n, best, certificate
@@ -217,15 +212,8 @@ def certify_optimal(
     the exact search decides, and an inconclusive (budget-limited) search
     reports False.
     """
+    require_valid(design, params)
     directed = isinstance(design, DirectedPackingDesign)
-    report = (
-        validate_directed(design, params) if directed else validate_packing(design, params)
-    )
-    if not report.valid:
-        raise ValueError(
-            f"design is invalid: t-set {report.worst_t_set} "
-            f"has multiplicity {report.worst_multiplicity}"
-        )
     n = len(design.blocks)
     bound = best_upper_bound(params, directed=directed)
     if n == bound.value:

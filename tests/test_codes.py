@@ -18,6 +18,7 @@ from packings import (
     to_constant_weight,
     to_indel_code,
 )
+from packings import codes
 
 
 def lcs_reference(a, b):
@@ -149,6 +150,14 @@ class TestIndelCode:
             deletion_channel_check(code, 5)
         with pytest.raises(ValueError):
             deletion_channel_check(code, -1)
+
+    def test_disagreeing_cross_check_raises(self, monkeypatch):
+        # the words share the pair (0, 1), so one deletion leaves a common residue
+        code = IndelCode(4, 3, ((0, 1, 2), (0, 1, 3)), 1)
+        assert not deletion_channel_check(code, 1)
+        monkeypatch.setattr(codes, "max_pairwise_lcs", lambda code: 0)
+        with pytest.raises(RuntimeError, match="k=3, s=1"):
+            deletion_channel_check(code, 1)
 
     def test_residue_enumeration_matches_lcs_threshold(self, rng):
         # random repeat-free codes, short enough for outright enumeration;

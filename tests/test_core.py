@@ -1,5 +1,4 @@
-from collections import Counter
-from itertools import combinations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,19 +15,38 @@ from packings import (
     validate_directed,
     validate_packing,
 )
+from packings.core import require_valid
 from conftest import make_packing, make_two_fold
 
 
 def brute_worst(blocks, t):
-    """Independent multiplicity oracle: plain dict counting."""
-    counts = Counter()
-    for block in blocks:
-        for sub in combinations(sorted(block), t):
-            counts[sub] += 1
-    if not counts:
-        return None, 0
-    top = max(counts.values())
-    return min(s for s, c in counts.items() if c == top), top
+    """Independent multiplicity oracle: every ordered t-tuple against every block.
+
+    A tuple occurs in a block when its points appear there in tuple order,
+    so a sorted block holds exactly its ascending t-subsets.
+    """
+    points = sorted({x for block in blocks for x in block})
+    positions = [{x: i for i, x in enumerate(block)} for block in blocks]
+    worst, top = None, 0
+    for tup in permutations(points, t):  # ascending, so the first maximum is the least
+        count = sum(
+            all(x in pos for x in tup) and all(pos[a] < pos[b] for a, b in zip(tup, tup[1:]))
+            for pos in positions
+        )
+        if count > top:
+            worst, top = tup, count
+    return worst, top
+
+
+def random_design(rng, directed):
+    """Arbitrary blocks on at most nine points, valid or not, some repeated."""
+    v = rng.randrange(3, 10)
+    blocks = [
+        tuple(rng.sample(range(v), rng.randrange(0, v + 1))) for _ in range(rng.randrange(0, 7))
+    ]
+    if blocks and rng.random() < 0.3:
+        blocks.append(blocks[0])
+    return DirectedPackingDesign(v, tuple(blocks)) if directed else PackingDesign(v, tuple(blocks))
 
 
 class TestTypes:
@@ -98,9 +116,26 @@ class TestValidatePacking:
         for _ in range(50):
             d = make_two_fold(rng, v_max=9)
             report = validate_packing(d, DesignParams(d.v, d.v, 2, 2))
-            worst, mult = brute_worst(d.blocks, 2)
-            assert report.worst_multiplicity == mult
-            assert report.valid == (mult <= 2)
+            assert (report.worst_t_set, report.worst_multiplicity) == brute_worst(d.blocks, 2)
+            assert report.valid == (report.worst_multiplicity <= 2)
+        for directed, validate in ((False, validate_packing), (True, validate_directed)):
+            for t in (2, 3):
+                for _ in range(60):
+                    d = random_design(rng, directed)
+                    lam = rng.randrange(1, 4)
+                    report = validate(d, DesignParams(d.v, d.v, t, lam))
+                    worst, mult = brute_worst(d.blocks, t)
+                    assert (report.worst_t_set, report.worst_multiplicity) == (worst, mult)
+                    assert report.valid == (mult <= lam)
+
+    def test_require_valid_names_the_witness(self):
+        d = PackingDesign(4, ((0, 1, 2), (0, 1, 3)))
+        require_valid(d, DesignParams(4, 3, 2, 2))
+        with pytest.raises(ValueError, match=r"lam=1: t-set \(0, 1\) has multiplicity 2"):
+            require_valid(d, DesignParams(4, 3, 2, 1))
+        directed = DirectedPackingDesign(4, ((0, 1, 2), (3, 1, 2)))
+        with pytest.raises(ValueError, match=r"t-set \(1, 2\) has multiplicity 2"):
+            require_valid(directed, DesignParams(4, 3, 2, 1), uniform=True)
 
 
 class TestValidateDirected:

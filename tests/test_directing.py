@@ -1,3 +1,6 @@
+import re
+from itertools import combinations
+
 import pytest
 
 from packings import (
@@ -133,6 +136,39 @@ class TestDirectPacking:
             out = direct_packing(d)
             assert validate_directed(out, DesignParams(d.v, d.v, 2, 1)).valid
             assert all(sorted(o) == list(b) for o, b in zip(out.blocks, d.blocks))
+
+
+    def test_rejects_exactly_the_undirectable(self, rng):
+        seen = {"accepted": 0, "pairs": 0, "frequency": 0}
+        for _ in range(400):
+            v = rng.randrange(2, 9)
+            blocks = tuple(
+                tuple(sorted(rng.sample(range(v), rng.randrange(0, min(v, 4) + 1))))
+                for _ in range(rng.randrange(0, 7))
+            )
+            d = PackingDesign(v, blocks)
+            pair_counts = {
+                pair: sum(set(pair) <= set(b) for b in blocks)
+                for pair in combinations(range(v), 2)
+            }
+            top = max(pair_counts.values(), default=0)
+            freq = [sum(x in b for b in blocks) for x in range(v)]
+            if top > 2:
+                worst = min(p for p, c in pair_counts.items() if c == top)
+                message = re.escape(f"pair {worst} appears {top} times")
+                with pytest.raises(DirectingError, match=message):
+                    direct_packing(d)
+                seen["pairs"] += 1
+            elif max(freq) > 3:
+                crowded = freq.index(max(freq))
+                with pytest.raises(DirectingError, match=f"violated at point {crowded}$"):
+                    direct_packing(d)
+                seen["frequency"] += 1
+            else:
+                out = direct_packing(d)
+                assert validate_directed(out, DesignParams(v, v, 2, 1)).valid
+                seen["accepted"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestComposesWithConstruction:

@@ -151,6 +151,18 @@ class TestCodeFiles:
         with pytest.raises(StructuralError, match=r"missing keys \['alphabet'\]"):
             code_from_dict({"type": "indel", "length": 2, "words": [[0, 1]]})
 
-    def test_bad_bit(self):
-        with pytest.raises(StructuralError, match="malformed code file"):
-            code_from_dict({"type": "cw", "length": 3, "weight": 2, "words": ["1x0"]})
+    def test_malformed_values(self):
+        for data in (
+            {"type": "cw", "length": 3, "weight": 2, "words": ["1x0"]},
+            {"type": "cw", "length": 3, "weight": 2, "words": ["1\u06610"]},  # a non-ASCII digit
+            {"type": "cw", "length": 3, "weight": 2, "words": [[1, 1, 0]]},
+            {"type": "cw", "length": 3, "weight": 2, "words": "110"},
+            {"type": "cw", "length": "3", "weight": 2, "words": ["110"]},
+            {"type": "indel", "length": 2, "alphabet": 3, "words": 5},
+            {"type": "indel", "length": 2, "alphabet": 3, "words": [5]},
+            {"type": "indel", "length": 2, "alphabet": 3, "words": [[0, "1"]]},
+            {"type": "indel", "length": "2", "alphabet": 3, "words": [[0, 1]]},
+            {"type": "indel", "length": 2, "alphabet": 3.0, "words": [[0, 1]]},
+        ):
+            with pytest.raises(StructuralError, match="malformed code file"):
+                code_from_dict(data)

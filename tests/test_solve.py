@@ -82,11 +82,6 @@ class TestPdnExact:
         assert result.certificate == BUDGET_EXHAUSTED
         assert validate_packing(result.witness, DesignParams(9, 3, 2, 1)).valid
 
-    def test_user_cap_is_a_lower_bound_only(self):
-        result = pdn_exact(DesignParams(6, 3, 2, 1), SearchConfig(max_blocks=2))
-        assert result.n == 2
-        assert result.certificate == BUDGET_EXHAUSTED
-
     def test_monotone_in_points_and_block_size(self):
         # more points never hurt; larger blocks never help
         values = {}
@@ -102,8 +97,6 @@ class TestPdnExact:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(node_budget=0)
-        with pytest.raises(ValueError):
-            SearchConfig(max_blocks=0)
 
     @pytest.mark.parametrize("v,k,t,lam", [(6, 4, 3, 1), (5, 3, 2, 2), (5, 4, 2, 1)])
     def test_agrees_with_outright_enumeration(self, v, k, t, lam):
