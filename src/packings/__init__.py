@@ -46,7 +46,7 @@ from .core import (
     validate_directed,
     validate_packing,
 )
-from .directing import DirectingError, DirectingState, compute_state, direct_packing, insert_point
+from .directing import DirectingError, direct_packing, insert_point
 from .io import (
     DesignDocument,
     load_code,

@@ -34,21 +34,16 @@ class ConstructionLayout:
 def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
     """n blocks of size k on v points, every frequency in {floor(nk/v), ceil(nk/v)}.
 
-    Each block takes the k points of least frequency (ties broken by point
-    index), which keeps all frequencies within one of each other; the design
-    is then valid at multiplicity ceil(nk/v).
+    Block i holds the points (ik + j) mod v for j < k, so the blocks deal
+    out 0, 1, ..., nk-1 modulo v in turn.  Point x gets one block for each
+    number below nk that is congruent to x mod v, and there are floor(nk/v)
+    or ceil(nk/v) of those; no block repeats a point since k <= v.  The
+    design is therefore valid at multiplicity ceil(nk/v).
     """
     if not (v >= k >= t >= 1 and n >= 0):
         raise ValueError(f"require v >= k >= t >= 1 and n >= 0, got n={n} v={v} k={k} t={t}")
-    freq = [0] * v
-    blocks = []
-    for _ in range(n):
-        order = sorted(range(v), key=lambda x: (freq[x], x))
-        block = tuple(sorted(order[:k]))
-        for x in block:
-            freq[x] += 1
-        blocks.append(block)
-    return PackingDesign(v, tuple(blocks))
+    blocks = tuple(tuple(sorted((i * k + j) % v for j in range(k))) for i in range(n))
+    return PackingDesign(v, blocks)
 
 
 def general_construction(

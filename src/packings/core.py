@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence, Union
 
 
@@ -225,22 +225,26 @@ def structural_diagnostics(
     """
     _check_sizes(design, params, uniform=True)
     v, k, t, lam = params.v, params.k, params.t, params.lam
-    profile = frequency_profile(design)
-    n = profile.n
+    # only the points that occur are counted, so memory does not grow with v
+    r = Counter(x for block in design.blocks for x in block)
+    n = len(design.blocks)
 
+    by_freq = sorted(r, key=lambda x: (-r[x], x))[:t]
+    if len(by_freq) < t:  # only an empty design: pad with the least absent points
+        absent = (x for x in range(v) if x not in r)
+        by_freq += islice(absent, t - len(by_freq))
+    worst_x = by_freq[0]
     r_cap = lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
-    worst_x = min(range(v), key=lambda x: (-profile.r[x], x))
-    freq_ok = profile.r[worst_x] <= r_cap
+    freq_ok = r[worst_x] <= r_cap
 
-    spread_lhs = sum(choose(i, lam + 1) * cnt for i, cnt in profile.N.items())
+    spread_lhs = sum(choose(i, lam + 1) * cnt for i, cnt in Counter(r.values()).items())
     spread_rhs = (t - 1) * choose(n, lam + 1)
 
-    by_freq = sorted(range(v), key=lambda x: (-profile.r[x], x))[:t]
-    freq_sum = sum(profile.r[x] for x in by_freq)
+    freq_sum = sum(r[x] for x in by_freq)
     sum_cap = (t - 1) * n + lam
 
     return (
-        ("frequency-cap", freq_ok, {"point": worst_x, "frequency": profile.r[worst_x], "cap": r_cap}),
+        ("frequency-cap", freq_ok, {"point": worst_x, "frequency": r[worst_x], "cap": r_cap}),
         ("frequency-spread", spread_lhs <= spread_rhs, {"lhs": spread_lhs, "rhs": spread_rhs}),
         ("frequency-sum", freq_sum <= sum_cap, {"points": tuple(by_freq), "sum": freq_sum, "cap": sum_cap}),
     )

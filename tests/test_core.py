@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -224,6 +225,26 @@ class TestStructuralDiagnostics:
             assert validate_packing(d, DesignParams(10, 4, 2, 2)).valid
             for name, ok, witness in structural_diagnostics(d, DesignParams(10, 4, 2, 2)):
                 assert ok, (name, witness)
+
+    def test_empty_design_ranks_the_least_points(self):
+        checks = {name: witness for name, _, witness in structural_diagnostics(
+            PackingDesign(6, ()), DesignParams(6, 3, 2, 1)
+        )}
+        assert checks["frequency-cap"]["point"] == 0
+        assert checks["frequency-sum"]["points"] == (0, 1)
+
+    def test_memory_does_not_grow_with_v(self):
+        v = 200_000
+        d = PackingDesign(v, ((0, 1, 2), (3, 4, 5)))
+        params = DesignParams(v, 3, 2, 1)
+        tracemalloc.start()
+        try:
+            result = structural_diagnostics(d, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(ok for _, ok, _ in result)
+        assert peak < 2**20, peak
 
 
 class TestUnderlyingDesign:

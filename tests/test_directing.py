@@ -8,7 +8,6 @@ from packings import (
     DirectedPackingDesign,
     DirectingError,
     PackingDesign,
-    compute_state,
     direct_packing,
     frequency_profile,
     general_construction,
@@ -23,40 +22,6 @@ from conftest import make_two_fold
 T1 = (1, 2, 3, 4, 5, 6)
 T2 = (4, 3, 7, 8, 9, 1)
 T3 = (6, 5, 10, 11, 9, 2)
-
-
-class TestComputeState:
-    def test_overlap_labels(self):
-        st = compute_state(0, T1, T2, T3)
-        assert st.x == (1, 3, 4)
-        assert st.y == (2, 5, 6)
-        assert st.z == (9,)
-
-    def test_prefix_counters(self):
-        st = compute_state(0, T1, T2, T3)
-        assert st.j == (0, 1, 1, 2, 3, 3, 3)
-        assert st.k == (0, 0, 1, 1, 1, 2, 3)
-
-    def test_slot_windows(self):
-        st = compute_state(0, T1, T2, T3)
-        assert st.r_window(0) == {1, 2}
-        assert st.r_window(1) == st.r_window(2) == {0, 1, 2}
-        assert all(st.r_window(i) == {0, 1} for i in range(3, 7))
-        assert st.s_window(0) == st.s_window(1) == {0, 1}
-        assert all(st.s_window(i) == {0, 1, 2} for i in range(2, 5))
-        assert st.s_window(5) == st.s_window(6) == {1, 2}
-
-    def test_crossing_point_and_slot_pair(self):
-        st = compute_state(0, T1, T2, T3)
-        assert st.ell == 1
-        assert {st.m, st.m + 1} <= st.r_window(st.ell) & st.s_window(st.ell)
-        assert st.m == 0
-
-    def test_empty_overlaps(self):
-        st = compute_state(0, (1, 2), (3, 4), (5, 6))
-        assert (st.p, st.q, st.r) == (0, 0, 0)
-        assert st.ell == 0
-        assert st.r_window(0) == {0, 1} and st.s_window(0) == {0, 1}
 
 
 class TestInsertPoint:
@@ -79,6 +44,18 @@ class TestInsertPoint:
         n1, n2, n3 = insert_point(0, (1, 2), (3, 4), (5, 6))
         d = DirectedPackingDesign(7, (n1, n2, n3))
         assert validate_directed(d, DesignParams(7, 3, 2, 1)).valid
+
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            (((1, 2), (1, 2), ()), "point 2 follows point 1 in both blocks 1 and 2"),
+            (((1, 5), (5, 2), (3, 5)), "point 5 lies in all three blocks"),
+            (((1,), (0, 2), (3,)), "point 0 is already in a block"),
+        ],
+    )
+    def test_input_breaking_the_premises_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            insert_point(0, *blocks)
 
 
 class TestDirectPacking:
