@@ -163,6 +163,12 @@ class TestSolve:
         )
         assert code == 1 and "directed solving" in err
 
+    def test_oversized_pool_is_invalid_input(self, capsys):
+        for extra in ((), ("--directed",)):
+            code, out, err = run(capsys, "solve", "--v", "30", "--k", "15", *extra)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "exceeds the limit of 200,000" in err
+
 
 class TestExportCode:
     def test_constant_weight(self, capsys, tmp_path, pack_6_3):

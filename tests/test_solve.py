@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -7,6 +9,7 @@ from packings import (
     DirectedPackingDesign,
     PackingDesign,
     SearchConfig,
+    best_upper_bound,
     certify_optimal,
     dpdn_exact,
     johnson_schonheim,
@@ -14,7 +17,8 @@ from packings import (
     validate_directed,
     validate_packing,
 )
-from packings.solve import BUDGET_EXHAUSTED, OPTIMAL
+from packings.core import choose
+from packings.solve import BUDGET_EXHAUSTED, OPTIMAL, POOL_LIMIT
 
 
 def brute_pdn(v, k, t, lam):
@@ -39,6 +43,211 @@ def brute_dpdn(v, k):
             if validate_directed(DirectedPackingDesign(v, blocks), params).valid:
                 return size
     return 0
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Done(Exception):
+    pass
+
+
+def reference_search(v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg):
+    """The per-unit counting engine the bitset engine replaced, kept as its reference.
+
+    At every node it recomputes the reach prune from per-point frequencies
+    and pair capacities and checks the convexity test, and each level
+    rescans the saturated candidates.  Returns (n, candidate indices,
+    certificate, nodes visited).
+    """
+    per_block = len(cand_subs[0])
+    r_cap = shadow_lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
+
+    counts = [0] * n_subs
+    freq = [0] * v
+    pair_cap = [shadow_lam * (v - 1)] * v if t == 2 else None
+    cand_points = [tuple(sorted(set(c))) for c in cands]
+
+    chosen = []
+    best_n = 0
+    best = []
+    used = 0
+    s_conv = 0
+    nodes = 0
+
+    conv_step = [choose(f, shadow_lam) for f in range(bound_cap + 2)]
+    total_units = unit_cap * n_subs
+
+    def extra_bound():
+        room = 0
+        if pair_cap is not None:
+            km1 = k - 1
+            for x in range(v):
+                room += min(r_cap - freq[x], pair_cap[x] // km1)
+        else:
+            for x in range(v):
+                room += r_cap - freq[x]
+        extra = room // k
+        return min(extra, (total_units - used) // per_block)
+
+    def dfs(start, c):
+        nonlocal best_n, best, used, s_conv, nodes
+        end = 1 if (c == 0 and cfg.symmetry_breaking) else len(cands)
+        for idx in range(start, end):
+            subs = cand_subs[idx]
+            if any(counts[s] >= unit_cap for s in subs):
+                continue
+            nodes += 1
+            if cfg.node_budget is not None and nodes > cfg.node_budget:
+                raise _Budget
+            for s in subs:
+                counts[s] += 1
+            used += per_block
+            for x in cand_points[idx]:
+                s_conv += conv_step[freq[x]]
+                freq[x] += 1
+            if pair_cap is not None:
+                for x in cand_points[idx]:
+                    pair_cap[x] -= k - 1
+            chosen.append(idx)
+
+            if c + 1 > best_n:
+                best_n = c + 1
+                best = chosen.copy()
+                if best_n >= bound_cap:
+                    raise _Done
+            if c + 1 < bound_cap:
+                reach = min(c + 1 + extra_bound(), bound_cap)
+                if reach > best_n and s_conv <= (t - 1) * choose(reach, shadow_lam + 1):
+                    dfs(idx, c + 1)
+
+            chosen.pop()
+            if pair_cap is not None:
+                for x in cand_points[idx]:
+                    pair_cap[x] += k - 1
+            for x in cand_points[idx]:
+                freq[x] -= 1
+                s_conv -= conv_step[freq[x]]
+            used -= per_block
+            for s in subs:
+                counts[s] -= 1
+
+    certificate = OPTIMAL
+    try:
+        dfs(0, 0)
+    except _Done:
+        pass
+    except _Budget:
+        certificate = BUDGET_EXHAUSTED
+        nodes -= 1  # the node that broke the budget was not visited
+    return best_n, best, certificate, nodes
+
+
+def reference_pdn(params, cfg):
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    cands = list(combinations(range(v), k))
+    sub_ids = {s: i for i, s in enumerate(combinations(range(v), t))}
+    cand_subs = [tuple(sub_ids[s] for s in combinations(c, t)) for c in cands]
+    cap = best_upper_bound(params, include_exact=False).value
+    n, best, certificate, nodes = reference_search(
+        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg
+    )
+    return n, tuple(cands[i] for i in best), certificate, nodes
+
+
+def reference_dpdn(v, k, cfg):
+    cands = list(permutations(range(v), k))
+    pair_ids = {p: i for i, p in enumerate(permutations(range(v), 2))}
+    cand_subs = [tuple(pair_ids[p] for p in combinations(c, 2)) for c in cands]
+    cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
+    n, best, certificate, nodes = reference_search(
+        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg
+    )
+    return n, tuple(cands[i] for i in best), certificate, nodes
+
+
+REFERENCE_BUDGETS = (1, 2, 7, 60, 600, 3000)
+REFERENCE_PDN_CELLS = [
+    *((v, k, 2, lam) for lam in (1, 2, 3) for k in (3, 4, 5) for v in range(k, 10)),
+    (6, 4, 3, 1), (7, 4, 3, 1), (7, 5, 3, 2), (8, 4, 3, 1), (5, 3, 3, 2), (6, 3, 1, 2),
+]
+REFERENCE_DPDN_CELLS = [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (5, 5), (7, 5)]
+
+
+class TestSearchEngine:
+    """The bitset engine walks the reference engine's tree node for node."""
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_pdn_matches_reference(self, symmetry):
+        for cell in REFERENCE_PDN_CELLS:
+            params = DesignParams(*cell)
+            for budget in REFERENCE_BUDGETS:
+                cfg = SearchConfig(node_budget=budget, symmetry_breaking=symmetry)
+                r = pdn_exact(params, cfg)
+                got = (r.n, r.witness.blocks, r.certificate, r.nodes)
+                assert got == reference_pdn(params, cfg), (cell, budget)
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_dpdn_matches_reference(self, symmetry):
+        for v, k in REFERENCE_DPDN_CELLS:
+            for budget in REFERENCE_BUDGETS:
+                cfg = SearchConfig(node_budget=budget, symmetry_breaking=symmetry)
+                r = dpdn_exact(v, k, cfg)
+                got = (r.n, r.witness.blocks, r.certificate, r.nodes)
+                assert got == reference_dpdn(v, k, cfg), (v, k, budget)
+
+    def test_unbudgeted_matches_reference(self):
+        cfg = SearchConfig()
+        for cell in [(7, 3, 2, 1), (8, 4, 2, 1), (6, 3, 2, 2), (7, 4, 3, 1)]:
+            r = pdn_exact(DesignParams(*cell), cfg)
+            assert (r.n, r.witness.blocks, r.certificate, r.nodes) == reference_pdn(
+                DesignParams(*cell), cfg
+            )
+        r = dpdn_exact(6, 3, cfg)
+        assert (r.n, r.witness.blocks, r.certificate, r.nodes) == reference_dpdn(6, 3, cfg)
+
+    def test_exhausted_budget_is_the_node_count(self):
+        for budget in (1, 5, 1000):
+            result = pdn_exact(DesignParams(12, 3, 2, 1), SearchConfig(node_budget=budget))
+            assert result.certificate == BUDGET_EXHAUSTED
+            assert result.nodes == budget
+
+    def test_search_leaves_no_reference_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            pdn_exact(DesignParams(9, 4, 2, 1))
+            after_pdn = gc.collect()
+            dpdn_exact(8, 5)
+            after_dpdn = gc.collect()
+        finally:
+            gc.enable()
+        assert (after_pdn, after_dpdn) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "search,size",
+        [
+            (lambda: pdn_exact(DesignParams(30, 15, 2, 1)), choose(30, 15)),
+            (lambda: dpdn_exact(12, 6), 665_280),
+            (lambda: dpdn_exact(30, 15), None),
+        ],
+    )
+    def test_oversized_pool_rejected_before_allocation(self, search, size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"limit of {POOL_LIMIT:,}") as info:
+                search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if size is not None:
+            assert f"{size:,}" in str(info.value)
+        assert peak < 2**20, peak
+
+    def test_largest_benchmarked_pool_is_admitted(self):
+        result = dpdn_exact(9, 6)
+        assert (result.n, result.certificate) == (3, OPTIMAL)
 
 
 class TestPdnExact:
