@@ -35,11 +35,9 @@ from .construct import (
 from .core import (
     DesignParams,
     DirectedPackingDesign,
-    FrequencyProfile,
     PackingDesign,
     StructuralError,
     ValidationReport,
-    frequency_profile,
     is_subsequence,
     structural_diagnostics,
     underlying_design,

@@ -31,11 +31,6 @@ EXACT_THRESHOLD = "exact-threshold"  # pinned at the largest constructible block
 EXACT_FAMILY = "exact-family"        # the tight parameter family hitting the threshold
 EXACT_DIRECTED = "exact-directed"    # directed window at (t, lam) = (2, 1)
 VIA_UNDIRECTED = "via-undirected"    # directed value bounded through its unordered shadow
-ORACLE = "oracle"
-
-EXACT_PROVENANCES = frozenset(
-    {EXACT_WINDOW, EXACT_THRESHOLD, EXACT_FAMILY, EXACT_DIRECTED, ORACLE}
-)
 
 
 class NotApplicableError(ValueError):

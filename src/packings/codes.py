@@ -9,7 +9,7 @@ share no ordered t-subsequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import DesignParams, DirectedPackingDesign, PackingDesign, require_valid
@@ -57,14 +57,15 @@ class IndelCode:
     """Fixed-length code over the alphabet {0, ..., alphabet_size-1}.
 
     Words are symbol sequences; repeats inside a word are forbidden unless
-    ``allow_repeats`` is set (used after constant words are appended).
+    ``allow_repeats`` is set (used after constant words are appended).  The
+    code carries no deletion capability: ``deletion_channel_check`` decides
+    how many deletions it survives.
     """
 
     alphabet_size: int
     word_length: int
     words: tuple[tuple[int, ...], ...]
-    deletion_capability: int
-    allow_repeats: bool = False
+    allow_repeats: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
@@ -109,7 +110,7 @@ def to_indel_code(design: DirectedPackingDesign, params: DesignParams) -> IndelC
     if params.lam != 1:
         raise ValueError("the deletion-code equivalence requires lam = 1")
     require_valid(design, params, uniform=True)
-    return IndelCode(design.v, params.k, design.blocks, params.k - params.t)
+    return IndelCode(design.v, params.k, design.blocks)
 
 
 def max_pairwise_lcs(code: IndelCode) -> int:
@@ -167,9 +168,5 @@ def add_constant_words(code: IndelCode) -> IndelCode:
         tuple([c] * code.word_length) for c in range(code.alphabet_size)
     )
     return IndelCode(
-        code.alphabet_size,
-        code.word_length,
-        code.words + constants,
-        code.deletion_capability,
-        allow_repeats=True,
+        code.alphabet_size, code.word_length, code.words + constants, allow_repeats=True
     )

@@ -115,29 +115,6 @@ Design = Union[PackingDesign, DirectedPackingDesign]
 
 
 @dataclass(frozen=True)
-class FrequencyProfile:
-    """Per-point frequencies r(x) plus the count N[i] of points at each frequency i."""
-
-    r: dict[int, int]
-    N: dict[int, int]
-    n: int
-
-    @property
-    def total_membership(self) -> int:
-        """Sum of all block sizes (equals n*k for uniform block size k)."""
-        return sum(i * cnt for i, cnt in self.N.items())
-
-
-def frequency_profile(design: Design) -> FrequencyProfile:
-    """Tabulate how often each point occurs across the blocks."""
-    r = {x: 0 for x in range(design.v)}
-    for block in design.blocks:
-        for x in block:
-            r[x] += 1
-    return FrequencyProfile(r=r, N=dict(Counter(r.values())), n=len(design.blocks))
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a multiplicity check, with the worst offender as a witness."""
 

@@ -169,8 +169,7 @@ def code_from_dict(data: object) -> Union[ConstantWeightCode, IndelCode]:
         raise StructuralError("malformed code file: 'words' must be a list of integer lists")
     symbols = tuple(tuple(w) for w in words)
     repeats = any(len(set(w)) != len(w) for w in symbols)
-    # stored codes are pair-based: capability is word length minus two
-    return IndelCode(size, length, symbols, length - 2, allow_repeats=repeats)
+    return IndelCode(size, length, symbols, allow_repeats=repeats)
 
 
 def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> None:

@@ -1,28 +1,26 @@
 """Exact search for packing and directed packing numbers on small instances.
 
-Depth-first search over candidate blocks in lexicographic order, with
-counting-based pruning.  The pruning caps come only from the classical
-bounds, never from the exact-value windows, so an "optimal" certificate is
-independent ground truth for them.
+Depth-first search over candidate blocks in lexicographic order, which
+ends early only at its cap or its node budget.  The cap is the least
+classical bound, never taken from the exact-value windows, so an "optimal"
+certificate is independent ground truth for them.
 
 Each candidate is one int mask over the coverage units (t-sets, or ordered
-pairs in the directed case).  The unit counts of the chosen blocks are held
-as saturating bitplanes, so a candidate is admissible when its mask misses
-the top plane, and a node costs a few integer operations.
+t-tuples in the directed case).  The unit counts of the chosen blocks are
+held as saturating bitplanes, so a candidate is admissible when its mask
+misses the top plane, and a node costs a few integer operations.
 
-The reach prune is the same at every depth.  With c blocks chosen and
-r_cap = shadow_lam*C(v-1, t-1)//C(k-1, t-1), a point of frequency f has room
-for r_cap - f more blocks (at t = 2 its pair capacity gives the same figure:
-(shadow_lam*(v-1) - (k-1)*f)//(k-1) = r_cap - f).  The frequencies sum to
-k*c, so the points admit v*r_cap//k - c more blocks, and the units admit
-unit_cap*n_units//per_block - c more.  Adding back the c blocks chosen, no
-branch can exceed min(v*r_cap//k, unit_cap*n_units//per_block, bound_cap).
-
-The frequency-distribution (convexity) test needs no per-node check: any
-shadow_lam + 1 blocks of a valid partial design (its unordered shadow, when
-directed) share at most t - 1 points, so the sum over points of
-C(freq, shadow_lam + 1) is at most (t-1)*C(c, shadow_lam + 1), which never
-exceeds the test's threshold at the reach of a branch worth exploring.
+The search has no bounding prune, because the counting prunes never cut
+below the cap.  Write lam for the multiplicity of the unordered shadow (t!
+times the directed multiplicity) and JS for the Johnson-Schonheim bound
+there; the cap is at most JS.  A point lies in at most r_cap =
+lam*C(v-1,t-1)//C(k-1,t-1) blocks, so the points admit v*r_cap//k blocks,
+and JS is no more: it is the floor of v/k times an integer no larger than
+lam*C(v-1,t-1)/C(k-1,t-1), hence no larger than r_cap.  The units admit
+lam*C(v,t)//C(k,t) blocks (for ordered t-tuples the count is the same at
+the shadow multiplicity), and JS is no more, because dropping every floor
+of the nested bound can only raise it.  So every branch can still reach
+the cap, and the search stops once it meets it.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .core import (
     DesignParams,
     DirectedPackingDesign,
     PackingDesign,
-    choose,
     require_valid,
 )
 
@@ -45,6 +42,9 @@ OPTIMAL = "optimal"
 BUDGET_EXHAUSTED = "budget-exhausted lower bound"
 # Largest candidate pool (k-subsets, or ordered k-tuples) a search builds.
 POOL_LIMIT = 200_000
+# Largest mask table, pool size times unit count, in bits.  It also bounds
+# the unit table and the C(k,t) unit lookups per candidate.
+MASK_BITS_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,6 @@ class SearchConfig:
     """Knobs for the exact search; budgets must be positive when present."""
 
     node_budget: int | None = None
-    symmetry_breaking: bool = True
 
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget < 1:
@@ -67,31 +66,18 @@ class SearchResult(NamedTuple):
 
 
 def _search(
-    v: int,
-    k: int,
-    t: int,
-    unit_cap: int,
-    shadow_lam: int,
-    masks: list[int],
-    n_units: int,
-    bound_cap: int,
-    cfg: SearchConfig,
+    masks: list[int], unit_cap: int, bound_cap: int, cfg: SearchConfig
 ) -> tuple[int, list[int], str, int]:
-    """Shared depth-first engine over precomputed candidate blocks.
+    """Depth-first engine over precomputed candidate blocks.
 
     Candidate i covers the coverage units set in masks[i]; each unit may be
-    used at most unit_cap times.  The reach prune uses shadow_lam, the
-    multiplicity of the unordered shadow (equal to unit_cap for plain
-    packings, 2 for directed ones).  Block sequences are kept
-    index-nondecreasing (one canonical order per multiset of blocks);
-    symmetry breaking additionally roots the search at candidate 0, which
-    any design can be relabeled to contain.  Returns the best count, its
-    candidate indices, the certificate and the number of nodes visited.
+    used at most unit_cap times.  Block sequences are kept
+    index-nondecreasing (one canonical order per multiset of blocks), and
+    the search is rooted at candidate 0, which any design can be relabeled
+    to contain.  Returns the best count, its candidate indices, the
+    certificate and the number of nodes visited.
     """
-    r_cap = shadow_lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
-    reach = min(v * r_cap // k, unit_cap * n_units // masks[0].bit_count(), bound_cap)
     budget = cfg.node_budget
-
     chosen: list[int] = []
     best: list[int] = []
     best_n = nodes = 0
@@ -100,8 +86,7 @@ def _search(
     # there, the end and next position of its loop, and its unit planes,
     # where planes[j] holds the units used more than j times.
     level = list(range(len(masks)))
-    end = 1 if cfg.symmetry_breaking else len(level)
-    pos, planes = 0, [0] * unit_cap
+    end, pos, planes = 1, 0, [0] * unit_cap
     stack = []
     while True:
         if pos == end:
@@ -122,26 +107,38 @@ def _search(
             best = chosen.copy()
             if best_n >= bound_cap:
                 break
-        if reach > best_n:
-            carry = masks[idx]
-            added = []
-            for plane in planes:
-                added.append(plane | carry)
-                carry &= plane
-            full = added[-1]
-            stack.append((level, end, pos, planes))
-            # saturation only grows with depth, so the children's candidates
-            # are this level's remaining ones that stay admissible
-            level = [j for j in level[pos - 1 :] if not masks[j] & full]
-            end, pos, planes = len(level), 0, added
-        else:
-            chosen.pop()
+        carry = masks[idx]
+        added = []
+        for plane in planes:
+            added.append(plane | carry)
+            carry &= plane
+        full = added[-1]
+        stack.append((level, end, pos, planes))
+        # saturation only grows with depth, so the children's candidates
+        # are this level's remaining ones that stay admissible
+        level = [j for j in level[pos - 1 :] if not masks[j] & full]
+        end, pos, planes = len(level), 0, added
     return best_n, best, certificate, nodes
 
 
-def _require_pool(size: int, what: str) -> None:
-    if size > POOL_LIMIT:
-        raise ValueError(f"search pool of {size:,} {what} exceeds the limit of {POOL_LIMIT:,}")
+def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
+    """The shared search: one mask per candidate block, capped by the classical bounds."""
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    arrange, what = (permutations, "ordered blocks") if directed else (combinations, "blocks")
+    count = math.perm if directed else math.comb
+    pool, n_units = count(v, k), count(v, t)
+    if pool > POOL_LIMIT:
+        raise ValueError(f"search pool of {pool:,} {what} exceeds the limit of {POOL_LIMIT:,}")
+    if pool * n_units > MASK_BITS_LIMIT:
+        raise ValueError(f"search pool of {pool:,} {what} over {n_units:,} units needs "
+                         f"{pool * n_units:,} mask bits, beyond the limit of {MASK_BITS_LIMIT:,}")
+    cands = list(arrange(range(v), k))
+    unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
+    masks = [sum(map(unit.__getitem__, combinations(c, t))) for c in cands]
+    cap = best_upper_bound(params, directed=directed, include_exact=False).value
+    best_n, best, certificate, nodes = _search(masks, lam, cap, config or SearchConfig())
+    design = DirectedPackingDesign if directed else PackingDesign
+    return SearchResult(best_n, design(v, tuple(cands[i] for i in best)), certificate, nodes)
 
 
 def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> SearchResult:
@@ -151,20 +148,10 @@ def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> Searc
     multiplicities.  With certificate "optimal" the value is exact; a budget
     interruption downgrades it to a lower bound with witness.  Meant for
     desk-scale instances (around v <= 14 at t = 2); a pool of more than
-    POOL_LIMIT k-subsets raises ValueError before anything is allocated.
+    POOL_LIMIT k-subsets, or of more than MASK_BITS_LIMIT k-subset and t-set
+    pairs, raises ValueError before anything is allocated.
     """
-    cfg = config or SearchConfig()
-    v, k, t, lam = params.v, params.k, params.t, params.lam
-    _require_pool(math.comb(v, k), "blocks")
-    cands = list(combinations(range(v), k))
-    unit = {s: 1 << i for i, s in enumerate(combinations(range(v), t))}
-    masks = [sum(map(unit.__getitem__, combinations(c, t))) for c in cands]
-    cap = best_upper_bound(params, include_exact=False).value
-    best_n, best, certificate, nodes = _search(
-        v, k, t, lam, lam, masks, len(unit), cap, cfg
-    )
-    witness = PackingDesign(v, tuple(cands[i] for i in best))
-    return SearchResult(best_n, witness, certificate, nodes)
+    return _exact(params, False, config)
 
 
 def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResult:
@@ -173,22 +160,13 @@ def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResu
     Searches ordered k-tuples in lexicographic order while tracking ordered
     pairs (each usable once); the classical bounds of the unordered shadow
     at multiplicity two cap the search.  The candidate pool has v!/(v-k)!
-    tuples; above POOL_LIMIT (200,000, so v = 12 at k = 6 is out) it raises
-    ValueError before anything is allocated.
+    tuples; above POOL_LIMIT (200,000, so v = 12 at k = 6 is out), or with
+    a mask table above MASK_BITS_LIMIT bits, it raises ValueError before
+    anything is allocated.
     """
     if not v >= k >= 2:
         raise ValueError(f"require v >= k >= 2, got v={v} k={k}")
-    cfg = config or SearchConfig()
-    _require_pool(math.perm(v, k), "ordered blocks")
-    cands = list(permutations(range(v), k))
-    unit = {p: 1 << i for i, p in enumerate(permutations(range(v), 2))}
-    masks = [sum(map(unit.__getitem__, combinations(c, 2))) for c in cands]
-    cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
-    best_n, best, certificate, nodes = _search(
-        v, k, 2, 1, 2, masks, len(unit), cap, cfg
-    )
-    witness = DirectedPackingDesign(v, tuple(cands[i] for i in best))
-    return SearchResult(best_n, witness, certificate, nodes)
+    return _exact(DesignParams(v, k, 2, 1), True, config)
 
 
 def certify_optimal(
@@ -205,13 +183,9 @@ def certify_optimal(
     require_valid(design, params)
     directed = isinstance(design, DirectedPackingDesign)
     n = len(design.blocks)
-    bound = best_upper_bound(params, directed=directed)
-    if n == bound.value:
+    if n == best_upper_bound(params, directed=directed).value:
         return True
-    if directed:
-        if (params.t, params.lam) != (2, 1):
-            return False
-        result = dpdn_exact(params.v, params.k, config)
-    else:
-        result = pdn_exact(params, config)
+    if directed and (params.t, params.lam) != (2, 1):
+        return False
+    result = _exact(params, directed, config)
     return result.certificate == OPTIMAL and result.n == n

@@ -61,6 +61,12 @@ def directed_12_7() -> DirectedPackingDesign:
     )
 
 
+def point_frequencies(design) -> list[int]:
+    """How many blocks hold each point, indexed by point."""
+    counts = Counter(x for block in design.blocks for x in block)
+    return [counts[x] for x in range(design.v)]
+
+
 def make_two_fold(rng: random.Random, v_max: int = 14) -> PackingDesign:
     """Random 2-fold packing with variable block sizes and all frequencies <= 3."""
     v = rng.randrange(2, v_max + 1)

@@ -21,7 +21,6 @@ from packings import (
     direct_packing,
     exact_by_theorems,
     exact_dpdn_by_theorem,
-    frequency_profile,
     gen_second_johnson_bound,
     gen_second_johnson_feasible,
     general_construction,
@@ -40,7 +39,7 @@ from packings import (
 )
 from packings.bounds import sj_quadratic_feasible
 from packings.solve import OPTIMAL
-from conftest import make_two_fold
+from conftest import make_two_fold, point_frequencies
 
 GRID = [
     (v, k, lam)
@@ -157,7 +156,7 @@ def test_criterion_4_construction_optimality():
         good = (
             len(design.blocks) == theorem.value == rep.value
             and validate_packing(design, params).valid
-            and max(frequency_profile(design).r.values()) <= lam + 1
+            and max(point_frequencies(design)) <= lam + 1
         )
         if not good:
             ok = False

@@ -169,6 +169,11 @@ class TestSolve:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and "exceeds the limit of 200,000" in err
 
+    def test_oversized_mask_table_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "solve", "--v", "20", "--k", "10", "--t", "5")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "beyond the limit of 100,000,000" in err
+
 
 class TestExportCode:
     def test_constant_weight(self, capsys, tmp_path, pack_6_3):

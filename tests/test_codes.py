@@ -114,14 +114,12 @@ class TestConstantWeight:
 class TestIndelCode:
     def test_published_ordering(self, directed_12_7):
         code = to_indel_code(directed_12_7, DesignParams(12, 7, 2, 1))
-        assert code.deletion_capability == 5
         assert max_pairwise_lcs(code) == 1
         assert deletion_channel_check(code, 5)
         assert not deletion_channel_check(code, 6)
 
     def test_small_directed_design(self, directed_6_4):
         code = to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1))
-        assert code.deletion_capability == 2
         assert max_pairwise_lcs(code) == 1
         assert deletion_channel_check(code, 2)
 
@@ -132,17 +130,17 @@ class TestIndelCode:
             assert deletion_channel_check(code, s)
 
     def test_reversed_pair_words(self):
-        code = IndelCode(3, 3, ((0, 1, 2), (2, 1, 0)), 1)
+        code = IndelCode(3, 3, ((0, 1, 2), (2, 1, 0)))
         assert max_pairwise_lcs(code) == 1
 
     def test_identical_words_rejected_by_type(self):
         with pytest.raises(ValueError, match="distinct"):
-            IndelCode(4, 3, ((0, 1, 2), (0, 1, 2)), 1)
+            IndelCode(4, 3, ((0, 1, 2), (0, 1, 2)))
 
     def test_repeat_symbols_need_flag(self):
         with pytest.raises(ValueError, match="repeats"):
-            IndelCode(4, 3, ((0, 0, 1),), 1)
-        assert IndelCode(4, 3, ((0, 0, 1),), 1, allow_repeats=True).words
+            IndelCode(4, 3, ((0, 0, 1),))
+        assert IndelCode(4, 3, ((0, 0, 1),), allow_repeats=True).words
 
     def test_deletion_count_range(self, directed_6_4):
         code = to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1))
@@ -153,7 +151,7 @@ class TestIndelCode:
 
     def test_disagreeing_cross_check_raises(self, monkeypatch):
         # the words share the pair (0, 1), so one deletion leaves a common residue
-        code = IndelCode(4, 3, ((0, 1, 2), (0, 1, 3)), 1)
+        code = IndelCode(4, 3, ((0, 1, 2), (0, 1, 3)))
         assert not deletion_channel_check(code, 1)
         monkeypatch.setattr(codes, "max_pairwise_lcs", lambda code: 0)
         with pytest.raises(RuntimeError, match="k=3, s=1"):
@@ -168,7 +166,7 @@ class TestIndelCode:
             words = set()
             for _ in range(rng.randrange(2, 5)):
                 words.add(tuple(rng.sample(range(v), k)))
-            code = IndelCode(v, k, tuple(words), k - 2 if k >= 2 else 0)
+            code = IndelCode(v, k, tuple(words))
             for s in range(k + 1):
                 keep = k - s
                 expected = all(
@@ -187,7 +185,7 @@ class TestAddConstantWords:
         assert deletion_channel_check(aug, 5)
 
     def test_empty_code(self):
-        aug = add_constant_words(IndelCode(5, 3, (), 1))
+        aug = add_constant_words(IndelCode(5, 3, ()))
         assert len(aug.words) == 5
         assert aug.words[0] == (0, 0, 0)
 
@@ -198,6 +196,6 @@ class TestAddConstantWords:
         assert deletion_channel_check(aug, 2)
 
     def test_rejects_overlapping_code(self):
-        code = IndelCode(5, 3, ((0, 1, 2), (0, 1, 3)), 1)
+        code = IndelCode(5, 3, ((0, 1, 2), (0, 1, 3)))
         with pytest.raises(ValueError, match="LCS"):
             add_constant_words(code)

@@ -8,18 +8,18 @@ from packings import (
     balanced_packing,
     construct_optimal,
     exact_by_theorems,
-    frequency_profile,
     general_construction,
     validate_packing,
 )
 from packings.core import choose
+from conftest import point_frequencies
 
 
 class TestBalancedPacking:
     def test_disjoint_pairs(self):
         d = balanced_packing(4, 8, 2, 2)
         assert d.blocks == ((0, 1), (2, 3), (4, 5), (6, 7))
-        assert frequency_profile(d).N == {1: 8}
+        assert point_frequencies(d) == [1] * 8
 
     def test_full_point_set_repeats(self):
         d = balanced_packing(3, 4, 4, 2)
@@ -27,8 +27,7 @@ class TestBalancedPacking:
 
     def test_mixed_frequencies(self):
         d = balanced_packing(3, 5, 3, 2)
-        prof = frequency_profile(d)
-        assert set(prof.N) == {1, 2}
+        assert set(point_frequencies(d)) == {1, 2}
         assert validate_packing(d, DesignParams(5, 3, 2, 2)).valid
 
     def test_zero_blocks(self):
@@ -41,7 +40,7 @@ class TestBalancedPacking:
             for k in range(1, v + 1):
                 for n in range(0, 13):
                     d = balanced_packing(n, v, k, 1)
-                    freqs = frequency_profile(d).r.values()
+                    freqs = point_frequencies(d)
                     if n:
                         assert max(freqs) - min(freqs) <= 1
                         lo, hi = n * k // v, -(-n * k // v)
@@ -64,9 +63,7 @@ class TestGeneralConstruction:
             (1, 3, 5, 10, 11),
             (2, 4, 5, 12, 13),
         )
-        prof = frequency_profile(design)
-        assert all(prof.r[u] == 2 for u in range(6))
-        assert all(prof.r[w] == 1 for w in range(6, 14))
+        assert point_frequencies(design) == [2] * 6 + [1] * 8
         assert validate_packing(design, DesignParams(14, 5, 2, 1)).valid
 
     def test_six_point_design_has_no_inner_points(self):
@@ -94,9 +91,9 @@ class TestGeneralConstruction:
 
     def test_shared_points_hit_max_frequency(self):
         design, layout = general_construction(4, 12, 7, 2, 2)
-        prof = frequency_profile(design)
+        freqs = point_frequencies(design)
         for (_, _), point in layout.u_points.items():
-            assert prof.r[point] == 3  # lam + 1
+            assert freqs[point] == 3  # lam + 1
 
     def test_shared_point_co_occurrence(self):
         # points for distinct index subsets meet in exactly |S & S'| blocks
@@ -123,8 +120,7 @@ class TestGeneralConstruction:
                         assert len(design.blocks) == n
                         assert all(len(b) == k for b in design.blocks)
                         assert validate_packing(design, DesignParams(v, k, t, lam)).valid
-                        prof = frequency_profile(design)
-                        assert max(prof.r.values()) <= lam + 1
+                        assert max(point_frequencies(design)) <= lam + 1
                         checked += 1
         assert checked > 50
 
@@ -160,4 +156,4 @@ class TestConstructOptimal:
                     design, _ = construct_optimal(params)
                     assert len(design.blocks) == report.value
                     assert validate_packing(design, params).valid
-                    assert max(frequency_profile(design).r.values()) <= lam + 1
+                    assert max(point_frequencies(design)) <= lam + 1

@@ -9,7 +9,6 @@ from packings import (
     DirectedPackingDesign,
     PackingDesign,
     StructuralError,
-    frequency_profile,
     is_subsequence,
     structural_diagnostics,
     underlying_design,
@@ -171,32 +170,6 @@ class TestValidateDirected:
         mask = data.draw(st.lists(st.booleans(), min_size=len(seq), max_size=len(seq)))
         sub = tuple(x for x, keep in zip(seq, mask) if keep)
         assert is_subsequence(sub, seq)
-
-
-class TestFrequencyProfile:
-    def test_known_triple_packing(self, pack_6_3):
-        prof = frequency_profile(pack_6_3)
-        assert prof.r == {x: 2 for x in range(6)}
-        assert prof.N == {2: 6}
-        assert prof.n == 4
-
-    def test_empty_design(self):
-        prof = frequency_profile(PackingDesign(5, ()))
-        assert prof.n == 0
-        assert prof.N == {0: 5}
-
-    def test_shared_point_design(self, pack_14_5):
-        prof = frequency_profile(pack_14_5)
-        assert all(prof.r[x] == 1 for x in range(8))
-        assert all(prof.r[x] == 2 for x in range(8, 14))
-
-    def test_counting_identities(self, rng):
-        # sum of N_i is v; sum of i*N_i is the total block membership
-        for _ in range(30):
-            d = make_two_fold(rng)
-            prof = frequency_profile(d)
-            assert sum(prof.N.values()) == d.v
-            assert prof.total_membership == sum(len(b) for b in d.blocks)
 
 
 class TestStructuralDiagnostics:

@@ -9,14 +9,13 @@ from packings import (
     DirectingError,
     PackingDesign,
     direct_packing,
-    frequency_profile,
     general_construction,
     insert_point,
     is_subsequence,
     validate_directed,
     validate_packing,
 )
-from conftest import make_two_fold
+from conftest import make_two_fold, point_frequencies
 
 # residual ordered blocks of the 12-point example after removing point 0
 T1 = (1, 2, 3, 4, 5, 6)
@@ -156,7 +155,7 @@ class TestComposesWithConstruction:
         n = exact_dpdn_by_theorem(v, k).value
         assert n is not None
         design, _ = general_construction(n, v, k, 2, 2)
-        assert max(frequency_profile(design).r.values()) <= 3
+        assert max(point_frequencies(design)) <= 3
         assert validate_packing(design, DesignParams(v, k, 2, 2)).valid
         out = direct_packing(design)
         assert validate_directed(out, DesignParams(v, k, 2, 1)).valid

@@ -4,6 +4,7 @@ import pytest
 
 from packings import (
     DesignParams,
+    DirectedPackingDesign,
     PackingDesign,
     StructuralError,
     load_code,
@@ -126,9 +127,15 @@ class TestCodeFiles:
         data = json.loads(path.read_text())
         assert data["type"] == "indel"
         assert data["alphabet"] == 6 and data["length"] == 4
-        back = load_code(path)
-        assert back.words == code.words
-        assert back.deletion_capability == 2
+        assert load_code(path) == code
+
+    def test_indel_round_trip_beyond_pairs(self, tmp_path):
+        # a t = 3 code loads back equal: the file holds everything the code holds
+        design = DirectedPackingDesign(4, ((0, 1, 2, 3), (3, 2, 1, 0)))
+        code = to_indel_code(design, DesignParams(4, 4, 3, 1))
+        path = tmp_path / "code.json"
+        save_code(path, code)
+        assert load_code(path) == code
 
     def test_repeat_words_survive_round_trip(self, tmp_path, directed_6_4):
         from packings import add_constant_words

@@ -18,7 +18,7 @@ from packings import (
     validate_packing,
 )
 from packings.core import choose
-from packings.solve import BUDGET_EXHAUSTED, OPTIMAL, POOL_LIMIT
+from packings.solve import BUDGET_EXHAUSTED, MASK_BITS_LIMIT, OPTIMAL, POOL_LIMIT
 
 
 def brute_pdn(v, k, t, lam):
@@ -53,12 +53,15 @@ class _Done(Exception):
     pass
 
 
-def reference_search(v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg):
+def reference_search(
+    v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg, symmetry=True
+):
     """The per-unit counting engine the bitset engine replaced, kept as its reference.
 
     At every node it recomputes the reach prune from per-point frequencies
     and pair capacities and checks the convexity test, and each level
-    rescans the saturated candidates.  Returns (n, candidate indices,
+    rescans the saturated candidates.  With symmetry set it roots the search
+    at candidate 0, as the engine does.  Returns (n, candidate indices,
     certificate, nodes visited).
     """
     per_block = len(cand_subs[0])
@@ -93,7 +96,7 @@ def reference_search(v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bo
 
     def dfs(start, c):
         nonlocal best_n, best, used, s_conv, nodes
-        end = 1 if (c == 0 and cfg.symmetry_breaking) else len(cands)
+        end = 1 if (c == 0 and symmetry) else len(cands)
         for idx in range(start, end):
             subs = cand_subs[idx]
             if any(counts[s] >= unit_cap for s in subs):
@@ -144,25 +147,25 @@ def reference_search(v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bo
     return best_n, best, certificate, nodes
 
 
-def reference_pdn(params, cfg):
+def reference_pdn(params, cfg, symmetry=True):
     v, k, t, lam = params.v, params.k, params.t, params.lam
     cands = list(combinations(range(v), k))
     sub_ids = {s: i for i, s in enumerate(combinations(range(v), t))}
     cand_subs = [tuple(sub_ids[s] for s in combinations(c, t)) for c in cands]
     cap = best_upper_bound(params, include_exact=False).value
     n, best, certificate, nodes = reference_search(
-        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg
+        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry
     )
     return n, tuple(cands[i] for i in best), certificate, nodes
 
 
-def reference_dpdn(v, k, cfg):
+def reference_dpdn(v, k, cfg, symmetry=True):
     cands = list(permutations(range(v), k))
     pair_ids = {p: i for i, p in enumerate(permutations(range(v), 2))}
     cand_subs = [tuple(pair_ids[p] for p in combinations(c, 2)) for c in cands]
     cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
     n, best, certificate, nodes = reference_search(
-        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg
+        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry
     )
     return n, tuple(cands[i] for i in best), certificate, nodes
 
@@ -178,21 +181,19 @@ REFERENCE_DPDN_CELLS = [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (5, 5), 
 class TestSearchEngine:
     """The bitset engine walks the reference engine's tree node for node."""
 
-    @pytest.mark.parametrize("symmetry", [True, False])
-    def test_pdn_matches_reference(self, symmetry):
+    def test_pdn_matches_reference(self):
         for cell in REFERENCE_PDN_CELLS:
             params = DesignParams(*cell)
             for budget in REFERENCE_BUDGETS:
-                cfg = SearchConfig(node_budget=budget, symmetry_breaking=symmetry)
+                cfg = SearchConfig(node_budget=budget)
                 r = pdn_exact(params, cfg)
                 got = (r.n, r.witness.blocks, r.certificate, r.nodes)
                 assert got == reference_pdn(params, cfg), (cell, budget)
 
-    @pytest.mark.parametrize("symmetry", [True, False])
-    def test_dpdn_matches_reference(self, symmetry):
+    def test_dpdn_matches_reference(self):
         for v, k in REFERENCE_DPDN_CELLS:
             for budget in REFERENCE_BUDGETS:
-                cfg = SearchConfig(node_budget=budget, symmetry_breaking=symmetry)
+                cfg = SearchConfig(node_budget=budget)
                 r = dpdn_exact(v, k, cfg)
                 got = (r.n, r.witness.blocks, r.certificate, r.nodes)
                 assert got == reference_dpdn(v, k, cfg), (v, k, budget)
@@ -245,6 +246,41 @@ class TestSearchEngine:
             assert f"{size:,}" in str(info.value)
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: pdn_exact(DesignParams(20, 10, 5, 1)),
+            lambda: pdn_exact(DesignParams(30, 29, 15, 1)),
+            lambda: dpdn_exact(400, 2),
+        ],
+    )
+    def test_oversized_mask_table_rejected_before_allocation(self, search):
+        # few enough candidates for POOL_LIMIT, but billions of mask bits
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"limit of {MASK_BITS_LIMIT:,}"):
+                search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_no_counting_prune_cuts_below_the_cap(self):
+        # the engine has no reach prune because the cap never exceeds the
+        # point count v*r_cap//k or the unit count lam*C(v,t)//C(k,t)
+        cells = 0
+        for t in range(1, 5):
+            for lam in (1, 2, 3, 6):
+                for k in range(t, 30):
+                    r_div = choose(k - 1, t - 1)
+                    for v in range(k, 120):
+                        r_cap = lam * choose(v - 1, t - 1) // r_div
+                        reach = min(v * r_cap // k, lam * choose(v, t) // choose(k, t))
+                        cap = johnson_schonheim(DesignParams(v, k, t, lam)).value
+                        assert cap <= reach, (v, k, t, lam)
+                        cells += 1
+        assert cells == 45_880
+
     def test_largest_benchmarked_pool_is_admitted(self):
         result = dpdn_exact(9, 6)
         assert (result.n, result.certificate) == (3, OPTIMAL)
@@ -276,15 +312,15 @@ class TestPdnExact:
         assert result.witness.blocks == ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 
     def test_symmetry_toggle_keeps_value(self):
+        # rooting at candidate 0 loses no value against the unrooted reference
         for lam in (1, 2):
             for k in range(3, 7):
                 for v in range(k, 9):
-                    on = pdn_exact(DesignParams(v, k, 2, lam))
-                    off = pdn_exact(
-                        DesignParams(v, k, 2, lam), SearchConfig(symmetry_breaking=False)
-                    )
-                    assert on.certificate == off.certificate == OPTIMAL
-                    assert on.n == off.n, (v, k, lam)
+                    params = DesignParams(v, k, 2, lam)
+                    on = pdn_exact(params)
+                    off_n, _, off_certificate, _ = reference_pdn(params, SearchConfig(), False)
+                    assert on.certificate == off_certificate == OPTIMAL
+                    assert on.n == off_n, (v, k, lam)
 
     def test_budget_interruption(self):
         result = pdn_exact(DesignParams(9, 3, 2, 1), SearchConfig(node_budget=5))
@@ -336,9 +372,9 @@ class TestDpdnExact:
     def test_symmetry_toggle_keeps_value(self):
         for v, k in [(4, 3), (5, 4), (4, 4)]:
             on = dpdn_exact(v, k)
-            off = dpdn_exact(v, k, SearchConfig(symmetry_breaking=False))
-            assert on.n == off.n
-            assert on.certificate == off.certificate == OPTIMAL
+            off_n, _, off_certificate, _ = reference_dpdn(v, k, SearchConfig(), False)
+            assert on.n == off_n
+            assert on.certificate == off_certificate == OPTIMAL
 
     def test_never_exceeds_two_fold_shadow(self):
         for v, k in [(4, 3), (5, 3), (5, 4), (6, 4), (5, 5)]:
@@ -363,6 +399,13 @@ class TestCertifyOptimal:
 
     def test_directed_design(self, directed_12_7):
         assert certify_optimal(directed_12_7, DesignParams(12, 7, 2, 1))
+
+    def test_directed_below_the_bound(self, directed_6_4):
+        # the search settles (t, lam) = (2, 1); elsewhere a bound miss is inconclusive
+        three = DirectedPackingDesign(6, directed_6_4.blocks[:3])
+        assert not certify_optimal(three, DesignParams(6, 4, 2, 1))
+        reversed_pair = DirectedPackingDesign(4, ((0, 1, 2, 3), (3, 2, 1, 0)))
+        assert not certify_optimal(reversed_pair, DesignParams(4, 4, 3, 1))
 
     def test_invalid_design_rejected(self):
         bad = PackingDesign(4, ((0, 1, 2), (0, 1, 3)))
