@@ -131,6 +131,7 @@ def cmd_verify(args) -> int:
             f"worst t-set: {report.worst_t_set} multiplicity "
             f"{report.worst_multiplicity} (limit {params.lam})"
         )
+        print(f"held by blocks: {', '.join(map(str, report.blocks))}")
     uniform = doc.k is not None and all(
         len(block) == doc.k for block in doc.design.blocks
     )

@@ -12,23 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import DesignParams, DirectedPackingDesign, PackingDesign, require_valid
+from .core import (
+    DesignParams,
+    DirectedPackingDesign,
+    PackingDesign,
+    _lis_heights,
+    require_valid,
+)
 
 
 def lcs_length(a, b) -> int:
-    """Length of the longest common subsequence (classic dynamic program)."""
-    m, n = len(a), len(b)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [0] * (n + 1)
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[n]
+    """Length of the longest common subsequence (Hunt-Szymanski).
+
+    Each symbol of ``b`` is replaced by its positions in ``a``, listed in
+    decreasing order; a common subsequence is then exactly a strictly
+    increasing subsequence of the result.  With r matching pairs this costs
+    O(r log k), so O(k log k) when either word repeats no symbol.
+    """
+    where: dict[object, list[int]] = {}
+    for i, x in enumerate(a):
+        where.setdefault(x, []).append(i)
+    matches = (i for y in b for i in reversed(where.get(y, ())))
+    return max(_lis_heights(matches), default=0)
 
 
 @dataclass(frozen=True)

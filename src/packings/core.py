@@ -9,10 +9,11 @@ types are immutable after construction and every operation here is pure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class StructuralError(ValueError):
@@ -116,11 +117,137 @@ Design = Union[PackingDesign, DirectedPackingDesign]
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a multiplicity check, with the worst offender as a witness."""
+    """Outcome of a multiplicity check, with the worst offender as a witness.
+
+    ``blocks`` lists, in increasing order, the indices of the blocks that
+    hold ``worst_t_set``; there are ``worst_multiplicity`` of them.
+    """
 
     valid: bool
     worst_t_set: tuple[int, ...] | None
     worst_multiplicity: int
+    blocks: tuple[int, ...] = ()
+
+
+def _lis_heights(seq: Iterable[int]) -> list[int]:
+    """For each entry, the length of the longest strictly increasing subsequence ending there.
+
+    Patience sorting: ``tails[h-1]`` is the least last entry of such a
+    subsequence of length h seen so far, so each entry costs one bisection.
+    """
+    tails: list[int] = []
+    heights = []
+    for x in seq:
+        h = bisect_left(tails, x)
+        tails[h : h + 1] = (x,)  # replace tails[h], or append when h == len(tails)
+        heights.append(h + 1)
+    return heights
+
+
+def _chain_heights(common: list[int], others: list[dict[int, int]]) -> list[int]:
+    """For each common point, the longest chain that starts there.
+
+    ``common`` lists the shared points in the order of one block; a chain
+    also keeps its order in every block whose position map is in
+    ``others``.  One other block makes this a longest increasing
+    subsequence of positions, read from the right; more take a quadratic
+    scan.
+    """
+    s = len(common)
+    if not others:
+        return list(range(s, 0, -1))
+    if len(others) == 1:
+        pos = others[0]
+        return _lis_heights([-pos[x] for x in reversed(common)])[::-1]
+    keys = [[p[x] for p in others] for x in common]
+    heights = [0] * s
+    for a in reversed(range(s)):
+        later = (heights[b] for b in range(a + 1, s) if all(map(int.__lt__, keys[a], keys[b])))
+        heights[a] = 1 + max(later, default=0)
+    return heights
+
+
+def _least_chain(
+    common: list[int], others: list[dict[int, int]], heights: list[int], t: int
+) -> tuple[int, ...]:
+    """The least t-chain: each entry is the least point that still completes one."""
+    chain: list[int] = []
+    last = -1
+    for need in range(t, 0, -1):
+        if others:
+            after = [
+                a
+                for a in range(last + 1, len(common))
+                if heights[a] >= need
+                and (last < 0 or all(p[common[last]] < p[common[a]] for p in others))
+            ]
+            last = min(after, key=common.__getitem__)
+        else:  # the heights count down to 1, so the candidates form a window
+            window = common[last + 1 : len(common) - need + 1]
+            last += 1 + window.index(min(window))
+        chain.append(common[last])
+    return tuple(chain)
+
+
+def _intersection_worst(
+    blocks: Sequence[Sequence[int]], t: int, budget: float
+) -> tuple[tuple[int, ...] | None, int] | None:
+    """The worst t-tuple from the common points of block subsets, or None past ``budget``.
+
+    A t-tuple lies in every block of a set S exactly when it is a chain of
+    length t among S's common points: a t-subset when the blocks are
+    sorted, otherwise t points in the same order in every block of S.  The
+    walk climbs one level of subsets at a time, keeping a subset only while
+    its common points hold a t-chain; the last level reached has size M,
+    and the least worst tuple is the least t-chain over its subsets.  Work
+    (points scanned, pairs compared) is counted against ``budget``, and
+    None is returned once it runs over, or when a block repeats a point.
+    """
+    pos = [{x: i for i, x in enumerate(block)} for block in blocks]
+    if any(len(p) != len(block) for p, block in zip(pos, blocks)):
+        return None
+    ordered = any(a > b for block in blocks for a, b in zip(block, block[1:]))
+    n = len(blocks)
+    level = [
+        ((i,), list(block), range(len(block), 0, -1))
+        for i, block in enumerate(blocks)
+        if len(block) >= t
+    ]
+    top, work = [], 0
+    while level:
+        top, grown = level, []
+        for subset, common, _ in level:
+            for j in range(subset[-1] + 1, n):
+                shared = [x for x in common if x in pos[j]]
+                others = [pos[i] for i in subset[1:] + (j,)] if ordered else []
+                # at least one unit per subset tried, so the budget also caps their number
+                work += 1 + len(common) + (len(shared) ** 2 * len(others) if len(others) > 1 else 0)
+                if work > budget:
+                    return None
+                if len(shared) < t:
+                    continue
+                heights = _chain_heights(shared, others)
+                if max(heights, default=0) >= t:
+                    grown.append((subset + (j,), shared, heights))
+        level = grown
+    if not top:
+        return None, 0
+    least = min(
+        _least_chain(common, [pos[i] for i in subset[1:]] if ordered else [], heights, t)
+        for subset, common, heights in top
+    )
+    return least, len(top[0][0])
+
+
+def _counter_worst(
+    blocks: Sequence[Sequence[int]], t: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The worst t-tuple from a count of every block's t-subsequences."""
+    counts = Counter(sub for block in blocks for sub in combinations(block, t))
+    if not counts:
+        return None, 0
+    top = max(counts.values())
+    return min(s for s, c in counts.items() if c == top), top
 
 
 def worst_multiplicity(
@@ -131,12 +258,18 @@ def worst_multiplicity(
     Positions chosen in increasing order give the t-subsets of a sorted
     block and exactly the ordered t-tuples occurring as subsequences of a
     directed one.  Returns (None, 0) when no block has t points.
+
+    Two exact paths: counting all n*C(k, t) sub-tuples, or walking the
+    common points of block subsets, about C(n, 2)*k work when few blocks
+    share a t-tuple.  The walk runs when its estimate is the lower, and
+    hands over to the count if its work would pass the count's.
     """
-    counts = Counter(sub for block in blocks for sub in combinations(block, t))
-    if not counts:
+    count_cost = sum(choose(len(block), t) for block in blocks)
+    if not count_cost:
         return None, 0
-    top = max(counts.values())
-    return min(s for s, c in counts.items() if c == top), top
+    walk_cost = choose(len(blocks), 2) * max(map(len, blocks))
+    found = _intersection_worst(blocks, t, count_cost) if walk_cost < count_cost else None
+    return found or _counter_worst(blocks, t)
 
 
 def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
@@ -154,7 +287,14 @@ def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
 def _validate(design: Design, params: DesignParams, uniform: bool) -> ValidationReport:
     _check_sizes(design, params, uniform)
     worst, mult = worst_multiplicity(design.blocks, params.t)
-    return ValidationReport(mult <= params.lam, worst, mult)
+    holders = ()
+    if worst is not None:
+        holders = tuple(i for i, b in enumerate(design.blocks) if is_subsequence(worst, b))
+        if len(holders) != mult:
+            raise RuntimeError(
+                f"t-set {worst} counted {mult} times but held by {len(holders)} blocks"
+            )
+    return ValidationReport(mult <= params.lam, worst, mult, holders)
 
 
 def validate_packing(
@@ -180,13 +320,13 @@ def validate_directed(
 
 
 def require_valid(design: Design, params: DesignParams, *, uniform: bool = False) -> None:
-    """Raise ValueError naming the worst t-set unless the design's validator passes it."""
+    """Raise ValueError naming the worst t-set and its blocks unless the design is valid."""
     validate = validate_directed if isinstance(design, DirectedPackingDesign) else validate_packing
     report = validate(design, params, uniform=uniform)
     if not report.valid:
         raise ValueError(
             f"design is invalid at lam={params.lam}: t-set {report.worst_t_set} "
-            f"has multiplicity {report.worst_multiplicity}"
+            f"has multiplicity {report.worst_multiplicity} in blocks {report.blocks}"
         )
 
 

@@ -119,7 +119,7 @@ class TestDirectVerify:
         code, out, _ = run(capsys, "verify", "-i", str(src))
         assert code == 1
         assert "valid: no" in out
-        assert "worst t-set: (0, 1) multiplicity 2" in out
+        assert "worst t-set: (0, 1) multiplicity 2 (limit 1)\nheld by blocks: 0, 1\n" in out
 
     def test_direct_rejects_directed_input(self, capsys, tmp_path, directed_6_4):
         src = tmp_path / "d.json"

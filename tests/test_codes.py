@@ -35,6 +35,17 @@ def lcs_reference(a, b):
     return go(0, 0)
 
 
+def lcs_dp(a, b):
+    """Second oracle: the row-by-row dynamic program, O(len(a) * len(b))."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
 class TestLcs:
     def test_known_cases(self):
         assert lcs_length((0, 2, 4), (0, 1, 2, 3, 4)) == 3
@@ -48,6 +59,25 @@ class TestLcs:
     )
     def test_matches_reference(self, a, b):
         assert lcs_length(tuple(a), tuple(b)) == lcs_reference(tuple(a), tuple(b))
+
+    @given(
+        st.lists(st.integers(0, 80), unique=True, max_size=60),
+        st.lists(st.integers(0, 80), unique=True, max_size=60),
+    )
+    def test_repeat_free_words_match_dp(self, a, b):
+        assert lcs_length(a, b) == lcs_length(b, a) == lcs_dp(a, b)
+
+    @given(
+        st.lists(st.integers(0, 6), max_size=40),
+        st.lists(st.integers(0, 6), max_size=40),
+    )
+    def test_words_with_repeats_match_dp(self, a, b):
+        assert lcs_length(a, b) == lcs_length(b, a) == lcs_dp(a, b)
+
+    def test_constant_word_against_repeat_free_word(self):
+        word = tuple(range(50))
+        assert lcs_length((7,) * 50, word) == lcs_length(word, (7,) * 50) == 1
+        assert lcs_length((7,) * 50, (7,) * 20) == 20
 
 
 class TestConstantWeight:

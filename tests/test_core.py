@@ -1,3 +1,5 @@
+import math
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -15,6 +17,7 @@ from packings import (
     validate_directed,
     validate_packing,
 )
+from packings import core
 from packings.core import require_valid
 from conftest import make_packing, make_two_fold
 
@@ -136,6 +139,150 @@ class TestValidatePacking:
         directed = DirectedPackingDesign(4, ((0, 1, 2), (3, 1, 2)))
         with pytest.raises(ValueError, match=r"t-set \(1, 2\) has multiplicity 2"):
             require_valid(directed, DesignParams(4, 3, 2, 1), uniform=True)
+
+    def test_require_valid_names_the_witness_blocks(self):
+        d = PackingDesign(5, ((0, 1, 2), (2, 3, 4), (0, 1, 3), (0, 1, 4)))
+        with pytest.raises(ValueError, match=r"multiplicity 3 in blocks \(0, 2, 3\)$"):
+            require_valid(d, DesignParams(5, 3, 2, 2))
+
+    def test_report_names_the_blocks_holding_the_worst_t_set(self, rng):
+        for directed, validate in ((False, validate_packing), (True, validate_directed)):
+            for t in (1, 2, 3):
+                for _ in range(40):
+                    d = random_design(rng, directed)
+                    lam = rng.randrange(1, 4)
+                    report = validate(d, DesignParams(d.v, d.v, t, lam))
+                    assert report.valid == (report.worst_multiplicity <= lam)
+                    if report.worst_t_set is None:
+                        assert report.blocks == ()
+                        continue
+                    holders = tuple(
+                        i for i, b in enumerate(d.blocks) if is_subsequence(report.worst_t_set, b)
+                    )
+                    assert report.blocks == holders
+                    assert len(holders) == report.worst_multiplicity
+
+
+def few_large_blocks(rng, directed):
+    """Two to five blocks of up to 40 points, the shape on which the walk is chosen.
+
+    Most blocks are one base block with points dropped and, when directed,
+    one pair swapped, so that subsets of blocks share long chains.
+    """
+    v = rng.randrange(2, 46)
+    base = rng.sample(range(v), rng.randrange(0, min(v, 40) + 1))
+    blocks = []
+    for _ in range(rng.randrange(2, 6)):
+        if rng.random() < 0.6:
+            block = [x for x in base if rng.random() < 0.9]
+            if directed and len(block) > 1 and rng.random() < 0.5:
+                i, j = rng.sample(range(len(block)), 2)
+                block[i], block[j] = block[j], block[i]
+        elif rng.random() < 0.5 and blocks:
+            block = list(blocks[0])
+        else:
+            block = rng.sample(range(v), rng.randrange(0, min(v, 40) + 1))
+        blocks.append(tuple(block) if directed else tuple(sorted(block)))
+    return blocks
+
+
+class TestMultiplicityPaths:
+    """The count and the intersection walk, called directly, against the brute oracle."""
+
+    def both_paths(self, blocks, t):
+        counted = core._counter_worst(blocks, t)
+        walked = core._intersection_worst(blocks, t, math.inf)
+        assert walked == counted, (blocks, t)
+        return counted
+
+    def test_small_designs_agree_with_brute_oracle(self, rng):
+        for directed in (False, True):
+            for t in (1, 2, 3):
+                for _ in range(150):
+                    d = random_design(rng, directed)
+                    assert self.both_paths(d.blocks, t) == brute_worst(d.blocks, t)
+
+    def test_few_large_blocks_agree(self, rng):
+        for directed in (False, True):
+            for t in (1, 2, 3):
+                for _ in range(60):
+                    blocks = few_large_blocks(rng, directed)
+                    found = self.both_paths(blocks, t)
+                    if t < 3:
+                        assert found == brute_worst(blocks, t)
+
+    def test_two_fold_packings_agree(self, rng):
+        for _ in range(100):
+            d = make_two_fold(rng, v_max=12)
+            assert self.both_paths(d.blocks, 2) == brute_worst(d.blocks, 2)
+
+    def test_ordered_blocks_beyond_multiplicity_one(self):
+        blocks = ((0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3))
+        assert self.both_paths(blocks, 2) == ((0, 1), 2) == brute_worst(blocks, 2)
+        # (0, 2), (0, 3), (1, 3) and (2, 3) keep their order in three blocks,
+        # no pair in all four
+        blocks = ((1, 0, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (2, 3, 1, 0))
+        assert self.both_paths(blocks, 2) == ((0, 2), 3) == brute_worst(blocks, 2)
+        # the walk must compare all three orders, not just pairs of blocks
+        blocks = ((0, 1, 2, 3, 4), (2, 0, 3, 1, 4), (1, 3, 0, 4, 2))
+        assert self.both_paths(blocks, 3) == brute_worst(blocks, 3)
+
+    def test_no_block_with_t_points(self):
+        for blocks in ((), ((),), ((0, 1), (2,))):
+            assert self.both_paths(blocks, 3) == (None, 0)
+            assert core.worst_multiplicity(blocks, 3) == (None, 0)
+
+    def test_walk_hands_over_past_its_budget(self):
+        blocks = tuple(tuple(range(12)) for _ in range(8))
+        budget = sum(math.comb(len(b), 2) for b in blocks)
+        assert core._intersection_worst(blocks, 2, budget) is None
+        assert core.worst_multiplicity(blocks, 2) == ((0, 1), 8)
+        reordered = tuple(tuple(reversed(b)) if i % 2 else b for i, b in enumerate(blocks))
+        assert core._intersection_worst(reordered, 2, budget) is None
+        assert core.worst_multiplicity(reordered, 2) == ((0, 1), 4)
+
+    def test_repeated_points_go_to_the_count(self):
+        assert core._intersection_worst(((0, 0, 1), (0, 1)), 2, math.inf) is None
+        assert core.worst_multiplicity(((0, 0, 1), (0, 1)), 2) == ((0, 1), 3)
+
+    def test_each_regime_takes_its_path(self, monkeypatch):
+        from packings import construct_optimal
+
+        def refuse(*args):
+            raise AssertionError("wrong path")
+
+        few = construct_optimal(DesignParams(300, 240, 2, 2))[0]
+        monkeypatch.setattr(core, "_counter_worst", refuse)
+        assert validate_packing(few, DesignParams(300, 240, 2, 2)).valid
+        monkeypatch.undo()
+        many = make_packing(random.Random(1), 30, 5, 2, 2, tries=200)
+        assert many.n > 40
+        monkeypatch.setattr(core, "_intersection_worst", refuse)
+        assert validate_packing(many, DesignParams(30, 5, 2, 2)).valid
+
+
+class TestScale:
+    def test_window_pipeline_at_k_2000_stays_small(self):
+        """Validate, direct, validate at lam=1 and export a 5-block design with k = 2000."""
+        from packings import construct_optimal, deletion_channel_check, direct_packing, to_indel_code
+
+        params = DesignParams(4995, 2000, 2, 2)
+        design = construct_optimal(params)[0]
+        tracemalloc.start()
+        try:
+            report = validate_packing(design, params)
+            directed = direct_packing(design)
+            directed_report = validate_directed(directed, params.with_lam(1))
+            code = to_indel_code(directed, params.with_lam(1))
+            survives = deletion_channel_check(code, 1998)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert design.n == 5
+        assert report.valid and report.worst_multiplicity == 2 and len(report.blocks) == 2
+        assert directed_report.valid and directed_report.worst_multiplicity == 1
+        assert survives
+        assert peak < 16 * 2**20, peak
 
 
 class TestValidateDirected:
