@@ -5,16 +5,18 @@ method does not apply), a provenance label, and the intermediate quantities
 behind the value.  All boundary comparisons use exact integer or rational
 arithmetic; nothing here touches floating point.
 
-One scan and one window loop serve every case: the second Johnson bound is
-the lam = 1 case of the convexity bound, and the directed window is the
-(t, lam) = (2, 2) case of the main counting window.  ``bound_candidates``
-alone decides which bounds apply, and ``best_upper_bound`` is the minimum
-of its list.
+One convexity search and one window loop serve every case: the second
+Johnson bound is the lam = 1 case of the convexity bound, and the directed
+window is the (t, lam) = (2, 2) case of the main counting window.  The
+convexity search bisects the segments of constant floor(dk/v) rather than
+stepping through every block count.  ``bound_candidates`` alone decides
+which bounds apply, and ``best_upper_bound`` is the minimum of its list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -120,16 +122,50 @@ def gen_second_johnson_feasible(d: int, params: DesignParams) -> bool:
 
 
 def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
-    """One less than the first block count failing the convexity counting test."""
-    cap = johnson_schonheim(params).value
-    for d in range(cap + 2):
-        if not gen_second_johnson_feasible(d, params):
-            q, r = divmod(d * params.k, params.v)
+    """One less than the first block count failing the convexity counting test.
+
+    The test is tried on d = 0, ..., cap + 1, where cap is the
+    Johnson-Schonheim bound, a segment at a time.  A segment is a run of d
+    on which q = floor(dk/v) is constant.  On it r = dk - qv grows by k per
+    step, so the slack
+
+        f(d) = (t-1)*C(d, lam+1) - v*C(q, lam+1) - r*C(q, lam)
+
+    has forward difference f(d+1) - f(d) = (t-1)*C(d, lam) - k*C(q, lam),
+    which never decreases in d: f is convex on the segment.  Bisecting on
+    the sign of that difference finds the segment's minimiser m.  If f(m)
+    is nonnegative the segment holds no failure; otherwise f does not
+    increase on [start, m], so its failures there form a suffix and a
+    second bisection finds the first.  Nothing is assumed about f across
+    segments, so the first failure found is the first in d.  There are
+    about cap*k/v + 1 segments, and each costs O(log(v/k)) tests.
+
+    The detail holds the first failing d with its q and r, or, when no d up
+    to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
+    """
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    last = johnson_schonheim(params).value + 1
+    start = 0
+    while start <= last:
+        q = start * k // v
+        end = min(((q + 1) * v - 1) // k, last)
+        rising = k * choose(q, lam)
+        m = start  # most segments rise from their start
+        if (t - 1) * choose(start, lam) < rising:
+            m += bisect_left(
+                range(start, end), True, key=lambda d: (t - 1) * choose(d, lam) >= rising
+            )
+        if not gen_second_johnson_feasible(m, params):
+            d = start + bisect_left(
+                range(start, m), True, key=lambda d: not gen_second_johnson_feasible(d, params)
+            )
+            q, r = divmod(d * k, v)
             return BoundReport(
                 d - 1, GEN_SECOND_JOHNSON, {"first_infeasible": d, "q": q, "r": r}
             )
+        start = end + 1
     return BoundReport(
-        None, GEN_SECOND_JOHNSON, {"first_infeasible": None, "scanned_to": cap + 1}
+        None, GEN_SECOND_JOHNSON, {"first_infeasible": None, "scanned_to": last}
     )
 
 

@@ -28,6 +28,8 @@ last two mean a bug.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .core import DirectedPackingDesign, PackingDesign, worst_multiplicity
 
 
@@ -142,19 +144,17 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
     for i, block in enumerate(design.blocks):
         for x in block:
             holders.setdefault(x, []).append(i)
-    ordered: list[tuple[int, ...]] = [()] * len(design.blocks)
+    # deques take a point at either end in O(1); only the three-block step
+    # rebuilds its blocks
+    ordered: list[deque[int]] = [deque() for _ in design.blocks]
     for a in sorted(holders):
         hs = holders[a]
-        if len(hs) == 1:
-            i = hs[0]
-            ordered[i] = (a,) + ordered[i]
-        elif len(hs) == 2:
-            i1, i2 = hs
-            ordered[i1] = (a,) + ordered[i1]
-            ordered[i2] = ordered[i2] + (a,)
+        if len(hs) < 3:
+            ordered[hs[0]].appendleft(a)
+            if len(hs) == 2:
+                ordered[hs[1]].append(a)
         else:
             i1, i2, i3 = hs
-            ordered[i1], ordered[i2], ordered[i3] = insert_point(
-                a, ordered[i1], ordered[i2], ordered[i3]
-            )
-    return DirectedPackingDesign(design.v, tuple(ordered))
+            new = insert_point(a, tuple(ordered[i1]), tuple(ordered[i2]), tuple(ordered[i3]))
+            ordered[i1], ordered[i2], ordered[i3] = map(deque, new)
+    return DirectedPackingDesign(design.v, tuple(map(tuple, ordered)))

@@ -7,7 +7,15 @@ from collections import Counter
 
 import pytest
 
-from packings import DirectedPackingDesign, PackingDesign
+from packings import (
+    BoundReport,
+    DesignParams,
+    DirectedPackingDesign,
+    PackingDesign,
+    gen_second_johnson_feasible,
+    johnson_schonheim,
+)
+from packings.bounds import GEN_SECOND_JOHNSON
 
 
 @pytest.fixture
@@ -111,3 +119,21 @@ def make_packing(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def linear_first_infeasible(params: DesignParams) -> BoundReport:
+    """The convexity bound by testing every d up to the Johnson-Schonheim cap + 1.
+
+    The reference for ``gen_second_johnson_bound``, which must return the
+    same report.
+    """
+    cap = johnson_schonheim(params).value
+    for d in range(cap + 2):
+        if not gen_second_johnson_feasible(d, params):
+            q, r = divmod(d * params.k, params.v)
+            return BoundReport(
+                d - 1, GEN_SECOND_JOHNSON, {"first_infeasible": d, "q": q, "r": r}
+            )
+    return BoundReport(
+        None, GEN_SECOND_JOHNSON, {"first_infeasible": None, "scanned_to": cap + 1}
+    )

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from packings import (
+    BoundReport,
     DesignParams,
     NotApplicableError,
     best_upper_bound,
@@ -27,6 +29,28 @@ from packings.bounds import (
     sj_quadratic_feasible,
 )
 from packings.core import choose
+
+from conftest import linear_first_infeasible
+
+
+def failure_offset(report: BoundReport, params: DesignParams) -> int | None:
+    """How far the first failing d lies past the start of its segment of constant q."""
+    d = report.detail["first_infeasible"]
+    if d is None:
+        return None
+    q = d * params.k // params.v
+    return d - -(-q * params.v // params.k)
+
+
+@st.composite
+def long_segment_cells(draw):
+    """Cells with v >= 2k, so segments hold two or more d, and v(t-1) <= k^2,
+    where the test tends to fail."""
+    t = draw(st.sampled_from((2, 3)))
+    lam = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(3, 30))
+    v = draw(st.integers(2 * k, max(2 * k, k * k // (t - 1))))
+    return DesignParams(v, k, t, lam)
 
 
 class TestJohnsonSchonheim:
@@ -112,6 +136,45 @@ class TestGenSecondJohnson:
         # d=5: q=1, r=11, LHS 10 < 11
         assert not gen_second_johnson_feasible(5, DesignParams(14, 5, 2, 1))
         assert gen_second_johnson_bound(DesignParams(14, 5, 2, 1)).value == 4
+
+    def test_matches_linear_scan_over_grid(self):
+        offsets = []
+        for t in (1, 2, 3):
+            for lam in (1, 2, 3):
+                for k in range(t, 10):
+                    for v in range(k, 60):
+                        params = DesignParams(v, k, t, lam)
+                        ref = linear_first_infeasible(params)
+                        assert gen_second_johnson_bound(params) == ref, params
+                        offsets.append(failure_offset(ref, params))
+        # the grid reaches failures at a segment's first d and inside one
+        assert offsets.count(0) > 100
+        assert sum(1 for off in offsets if off) > 100
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(600, 3, 2, 1), (600, 3, 2, 2), (400, 4, 2, 2), (100, 4, 3, 1),
+         (150, 3, 2, 3), (500, 6, 2, 1), (60, 5, 3, 2), (40, 4, 3, 3)],
+    )
+    def test_matches_linear_scan_on_large_cells(self, cell):
+        params = DesignParams(*cell)
+        assert gen_second_johnson_bound(params) == linear_first_infeasible(params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=long_segment_cells())
+    @example(params=DesignParams(7, 3, 2, 1))  # fails at d = 8, inside [7, 9]
+    def test_failure_inside_a_segment(self, params):
+        ref = linear_first_infeasible(params)
+        assume(failure_offset(ref, params))
+        assert gen_second_johnson_bound(params) == ref
+
+    def test_failure_at_a_segment_start(self):
+        # q = 2 on d in [7, 9], and d = 7 already fails
+        params = DesignParams(16, 5, 2, 1)
+        ref = linear_first_infeasible(params)
+        assert ref.detail == {"first_infeasible": 7, "q": 2, "r": 3}
+        assert failure_offset(ref, params) == 0
+        assert gen_second_johnson_bound(params) == ref
 
     def test_reduces_to_quadratic_form_at_lam_one(self):
         # pointwise agreement of the two feasibility tests for every d <= 12

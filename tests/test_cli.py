@@ -1,10 +1,18 @@
 import json
 
-from packings import DesignParams, best_upper_bound, exact_by_theorems, pdn_exact
+from packings import (
+    DesignParams,
+    best_upper_bound,
+    exact_by_theorems,
+    johnson_schonheim,
+    pdn_exact,
+)
 from packings.bounds import VIA_UNDIRECTED, bound_candidates
 from packings.cli import main
 from packings.io import dumps_design, load_design
 from packings.io import DesignDocument
+
+from conftest import linear_first_infeasible
 
 
 def run(capsys, *argv):
@@ -66,6 +74,24 @@ class TestBounds:
                     assert kind == ("exact" if rep.exact else "upper" if applies else "n/a")
                 best = best_upper_bound(params, directed=directed)
                 assert rows[-1] == ["best", str(best.value), best.provenance]
+
+    def test_large_cell_rows_follow_the_reference_scan(self, capsys):
+        # the reference scan finds no failure up to cap + 1 = 1,499,001
+        ref = linear_first_infeasible(DesignParams(3000, 3, 2, 1))
+        assert ref.detail == {"first_infeasible": None, "scanned_to": 1499001}
+        code, out, _ = run(capsys, "bounds", "--v", "3000", "--k", "3", "--tsv")
+        assert code == 0
+        rows = {line.split("\t")[0]: line.split("\t")[1:] for line in out.splitlines()[1:]}
+        assert rows["generalized-second-johnson"] == ["", "n/a"]
+        assert rows["second-johnson"] == ["", "n/a"]
+        applicable = {name: int(value) for name, (value, kind) in rows.items() if kind == "upper"}
+        assert rows["best"] == [str(min(applicable.values())), "johnson-schonheim"]
+
+    def test_large_t3_cell_completes(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--v", "1000", "--k", "4", "--t", "3", "--tsv")
+        assert code == 0
+        js = johnson_schonheim(DesignParams(1000, 4, 3, 1)).value
+        assert out.splitlines()[-1] == f"best\t{js}\tjohnson-schonheim"
 
 
 class TestConstruct:
