@@ -16,7 +16,7 @@ which bounds apply, and ``best_upper_bound`` is the minimum of its list.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -228,11 +228,13 @@ def horsley_bound_2(v: int, k: int, lam: int = 1) -> BoundReport:
 
 
 def _least_ell(k: int, t: int, lam: int) -> int:
-    """Least integer with (t-1) * C(ell, lam) > k."""
-    ell = lam
-    while (t - 1) * choose(ell, lam) <= k:
-        ell += 1
-    return ell
+    """Least integer ell >= lam with (t-1) * C(ell, lam) > k, by galloping and bisection."""
+    step = 1
+    while (t - 1) * choose(lam + step, lam) <= k:
+        step *= 2
+    return bisect_left(
+        range(lam + step + 1), True, lo=lam, key=lambda ell: (t - 1) * choose(ell, lam) > k
+    )
 
 
 def _window_edge(n: int, k: int, t: int, lam: int) -> int:
@@ -242,29 +244,22 @@ def _window_edge(n: int, k: int, t: int, lam: int) -> int:
 def exact_by_theorems(params: DesignParams) -> BoundReport:
     """Exact packing number when one of the large-block-size windows applies.
 
-    First looks for the n with nk - (t-1)C(n,lam+1) <= lam*v strictly below
-    the same expression at n+1 (at most one such n can exist); failing that,
-    tries the boundary window at ell, the least count with
+    First looks for the n with e(n) <= lam*v < e(n+1), e(n) = nk - (t-1)C(n,lam+1);
+    failing that, tries the boundary window at ell, the least count with
     (t-1)C(ell,lam) > k, whose upper edge is a rational number compared
-    exactly.
+    exactly.  As e(n+1) - e(n) = k - (t-1)C(n,lam), e does not decrease on
+    1..ell, so that n is the last count there with e(n) <= lam*v, found by
+    bisection, and it lies below ell.
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     if t < 2:
         raise ValueError(f"require t >= 2, got t={t}")
     ell = _least_ell(k, t, lam)
-    hits = []
-    for n in range(1, ell + 1):
-        lo = _window_edge(n, k, t, lam)
-        hi = _window_edge(n + 1, k, t, lam)
-        if lo <= lam * v < hi:
-            hits.append((n, lo, hi))
-    if len(hits) > 1:
-        raise RuntimeError(f"overlapping windows for {params}: {hits}")
-    if hits:
-        n, lo, hi = hits[0]
-        # a nonempty window forces k > (t-1) * C(n, lam)
-        if k <= (t - 1) * choose(n, lam):
-            raise RuntimeError(f"window at n={n} for {params} has k <= (t-1)*C(n, lam)")
+    n = bisect_right(range(ell + 1), lam * v, lo=1, key=lambda n: _window_edge(n, k, t, lam)) - 1
+    if 1 <= n < ell:
+        lo, hi = _window_edge(n, k, t, lam), _window_edge(n + 1, k, t, lam)
+        if not lo <= lam * v < hi:
+            raise RuntimeError(f"window at n={n} for {params} misses lam*v: {(lo, hi)}")
         return BoundReport(n, EXACT_WINDOW, {"n": n, "window": (lo, hi)}, exact=True)
     lo = _window_edge(ell, k, t, lam)
     hi = Fraction((lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1), lam + 2)

@@ -8,29 +8,16 @@ Exit codes: 0 success, 1 invalid input, 2 theorem or bound not applicable,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 from . import bounds as bd
 from .bounds import NotApplicableError
 from .codes import deletion_channel_check, to_constant_weight, to_indel_code
 from .construct import construct_optimal
-from .core import (
-    DesignParams,
-    StructuralError,
-    structural_diagnostics,
-    validate_directed,
-    validate_packing,
-)
-from .directing import DirectingError, direct_packing
-from .io import (
-    DesignDocument,
-    code_to_dict,
-    dumps_design,
-    load_design,
-    save_code,
-    save_design,
-)
+from .core import DesignParams, structural_diagnostics, validate_directed, validate_packing
+from .directing import direct_packing
+from .io import DesignDocument, dumps_code, dumps_design, load_design
 from .solve import OPTIMAL, SearchConfig, dpdn_exact, pdn_exact
 
 EXIT_OK = 0
@@ -39,27 +26,41 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_BUDGET = 3
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for "not applicable"
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _add_params(sub, *, with_lambda: bool = True) -> None:
+def _add_t_lambda(sub) -> None:
+    sub.add_argument("--t", type=int, default=2, help="tuple size (default 2)")
+    sub.add_argument(
+        "--lambda", dest="lam", type=int, default=1, help="max multiplicity (default 1)"
+    )
+
+
+def _add_params(sub) -> None:
     sub.add_argument("--v", type=int, required=True, help="number of points")
     sub.add_argument("--k", type=int, required=True, help="block size")
-    sub.add_argument("--t", type=int, default=2, help="tuple size (default 2)")
-    if with_lambda:
-        sub.add_argument(
-            "--lambda", dest="lam", type=int, default=1, help="max multiplicity (default 1)"
-        )
+    _add_t_lambda(sub)
 
 
 def _params(args) -> DesignParams:
     return DesignParams(args.v, args.k, args.t, args.lam)
+
+
+def _emit(args, text: str, summary: str) -> None:
+    """Write ``text`` to the ``-o`` file and print the summary, or write it to stdout."""
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"{summary} -> {args.output}")
+    else:
+        sys.stdout.write(text)
+
+
+def _print_tsv(header: tuple[str, ...], rows) -> None:
+    """One tab-separated line per row under the header; None prints as an empty cell."""
+    for row in (header, *rows):
+        print("\t".join("" if cell is None else str(cell) for cell in row))
 
 
 def cmd_bounds(args) -> int:
@@ -75,11 +76,12 @@ def cmd_bounds(args) -> int:
         if name == bd.SECOND_JOHNSON and rep.detail["closed_form"] is not None:
             rows.append((f"{bd.SECOND_JOHNSON}(closed)", rep.detail["closed_form"], False))
     if args.tsv:
-        print("provenance\tvalue\tkind")
-        for name, value, exact in rows:
-            kind = "exact" if exact else ("upper" if value is not None else "n/a")
-            print(f"{name}\t{'' if value is None else value}\t{kind}")
-        print(f"best\t{best.value}\t{best.provenance}")
+        tsv_rows = [
+            (name, value, "exact" if exact else ("upper" if value is not None else "n/a"))
+            for name, value, exact in rows
+        ]
+        tsv_rows.append(("best", best.value, best.provenance))
+        _print_tsv(("provenance", "value", "kind"), tsv_rows)
     else:
         width = max(len(name) for name, _, _ in rows)
         for name, value, exact in rows:
@@ -93,14 +95,8 @@ def cmd_bounds(args) -> int:
 def cmd_construct(args) -> int:
     params = _params(args)
     design, report = construct_optimal(params)
-    doc = DesignDocument(design, params.k, params.t, params.lam)
-    if args.output:
-        save_design(args.output, design, k=params.k, t=params.t, lam=params.lam)
-        print(
-            f"constructed {len(design.blocks)} blocks via {report.provenance} -> {args.output}"
-        )
-    else:
-        sys.stdout.write(dumps_design(doc))
+    text = dumps_design(DesignDocument(design, params.k, params.t, params.lam))
+    _emit(args, text, f"constructed {len(design.blocks)} blocks via {report.provenance}")
     return EXIT_OK
 
 
@@ -109,11 +105,8 @@ def cmd_direct(args) -> int:
     if doc.directed:
         raise ValueError("input design is already directed")
     directed = direct_packing(doc.design)
-    if args.output:
-        save_design(args.output, directed, k=doc.k, t=2, lam=1)
-        print(f"directed {len(directed.blocks)} blocks -> {args.output}")
-    else:
-        sys.stdout.write(dumps_design(DesignDocument(directed, doc.k, 2, 1)))
+    text = dumps_design(DesignDocument(directed, doc.k, 2, 1))
+    _emit(args, text, f"directed {len(directed.blocks)} blocks")
     return EXIT_OK
 
 
@@ -171,16 +164,10 @@ def cmd_export_code(args) -> int:
     # run the check before any output, so a rejected deletion count writes nothing
     s = args.check_deletions
     ok = None if s is None else deletion_channel_check(code, s)
-    if args.output:
-        save_code(args.output, code)
-        print(f"exported {len(code.words)} words -> {args.output}")
-    else:
-        print(json.dumps(code_to_dict(code), indent=2))
+    _emit(args, dumps_code(code), f"exported {len(code.words)} words")
     if ok is not None:
         print(f"deletion check (s={s}): {'pass' if ok else 'fail'}")
-        if not ok:
-            return EXIT_INVALID
-    return EXIT_OK
+    return EXIT_INVALID if ok is False else EXIT_OK
 
 
 def cmd_table(args) -> int:
@@ -197,9 +184,7 @@ def cmd_table(args) -> int:
                 best = bd.least_bound(params, reports)
             rows.append((v, k, best.value, "exact" if best.exact else "upper", best.provenance))
     if args.tsv:
-        print("v\tk\tvalue\tkind\tprovenance")
-        for row in rows:
-            print("\t".join(str(c) for c in row))
+        _print_tsv(("v", "k", "value", "kind", "provenance"), rows)
     else:
         print(f"{'v':>3} {'k':>3} {'value':>6} {'kind':>6}  provenance")
         for v, k, value, kind, provenance in rows:
@@ -249,25 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--v-max", type=int, required=True)
     sub.add_argument("--k-min", type=int, required=True)
     sub.add_argument("--k-max", type=int, required=True)
-    sub.add_argument("--t", type=int, default=2)
-    sub.add_argument("--lambda", dest="lam", type=int, default=1)
+    _add_t_lambda(sub)
     sub.add_argument("--tsv", action="store_true")
     sub.set_defaults(func=cmd_table)
 
     return parser
 
 
+# parsing keeps no state between calls, so one parser serves the whole process
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
-    except NotApplicableError as exc:
+    except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except (StructuralError, DirectingError, _UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NOT_APPLICABLE if isinstance(exc, NotApplicableError) else EXIT_INVALID
 
 
 def run() -> None:

@@ -20,6 +20,9 @@ from .core import (
     require_valid,
 )
 
+# Largest constant-weight code, words times length v, in bits (as the search's masks)
+CW_BITS_LIMIT = 100_000_000
+
 
 def lcs_length(a, b) -> int:
     """Length of the longest common subsequence (Hunt-Szymanski).
@@ -86,9 +89,16 @@ class IndelCode:
 
 
 def to_constant_weight(design: PackingDesign, params: DesignParams) -> ConstantWeightCode:
-    """Characteristic vectors of the blocks of a multiplicity-one packing."""
+    """Characteristic vectors of the blocks of a multiplicity-one packing.
+
+    Refuses a code of more than CW_BITS_LIMIT bits before building a word.
+    """
     if params.lam != 1:
         raise ValueError("constant-weight equivalence requires lam = 1")
+    bits = design.n * design.v
+    if bits > CW_BITS_LIMIT:
+        raise ValueError(f"constant-weight code of {design.n:,} words of length "
+                         f"{design.v:,} needs {bits:,} bits, beyond the limit of {CW_BITS_LIMIT:,}")
     require_valid(design, params, uniform=True)
     words = []
     for block in design.blocks:

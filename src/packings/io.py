@@ -172,8 +172,12 @@ def code_from_dict(data: object) -> Union[ConstantWeightCode, IndelCode]:
     return IndelCode(size, length, symbols, allow_repeats=repeats)
 
 
+def dumps_code(code: Union[ConstantWeightCode, IndelCode]) -> str:
+    return json.dumps(code_to_dict(code), indent=2) + "\n"
+
+
 def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> None:
-    Path(path).write_text(json.dumps(code_to_dict(code), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps_code(code), encoding="utf-8")
 
 
 def load_code(path: str | Path) -> Union[ConstantWeightCode, IndelCode]:

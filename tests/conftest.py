@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,8 @@ from packings import (
     gen_second_johnson_feasible,
     johnson_schonheim,
 )
-from packings.bounds import GEN_SECOND_JOHNSON
+from packings.bounds import EXACT_THRESHOLD, EXACT_WINDOW, GEN_SECOND_JOHNSON
+from packings.core import choose
 
 
 @pytest.fixture
@@ -137,3 +139,31 @@ def linear_first_infeasible(params: DesignParams) -> BoundReport:
     return BoundReport(
         None, GEN_SECOND_JOHNSON, {"first_infeasible": None, "scanned_to": cap + 1}
     )
+
+
+def linear_exact_by_theorems(params: DesignParams) -> BoundReport:
+    """The exact windows by stepping ell up from lam and trying every n up to it.
+
+    The reference for ``exact_by_theorems``, which must return the same
+    report; like it, this raises when two main windows hold lam*v.
+    """
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+
+    def edge(n: int) -> int:
+        return n * k - (t - 1) * choose(n, lam + 1)
+
+    ell = lam
+    while (t - 1) * choose(ell, lam) <= k:
+        ell += 1
+    hits = [(n, edge(n), edge(n + 1)) for n in range(1, ell + 1)
+            if edge(n) <= lam * v < edge(n + 1)]
+    if len(hits) > 1:
+        raise RuntimeError(f"overlapping windows for {params}: {hits}")
+    if hits:
+        n, lo, hi = hits[0]
+        return BoundReport(n, EXACT_WINDOW, {"n": n, "window": (lo, hi)}, exact=True)
+    lo = edge(ell)
+    hi = Fraction((lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1), lam + 2)
+    if lo <= lam * v < hi:
+        return BoundReport(ell, EXACT_THRESHOLD, {"ell": ell, "window": (lo, hi)}, exact=True)
+    return BoundReport(None, EXACT_WINDOW, {"reason": "outside both windows", "ell": ell})

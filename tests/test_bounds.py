@@ -30,7 +30,7 @@ from packings.bounds import (
 )
 from packings.core import choose
 
-from conftest import linear_first_infeasible
+from conftest import linear_exact_by_theorems, linear_first_infeasible
 
 
 def failure_offset(report: BoundReport, params: DesignParams) -> int | None:
@@ -242,13 +242,19 @@ class TestExactByTheorems:
         assert exact_by_theorems(DesignParams(12, 3, 2, 1)).value is None
 
     def test_window_consistency_over_grid(self):
-        # whenever the main window fires, k > (t-1)*C(n, lam) is checked
-        # internally and a failure raises; this sweep exercises the check
-        for lam in (1, 2, 3):
-            for t in (2, 3):
-                for k in range(t, 9):
-                    for v in range(k, 25):
-                        exact_by_theorems(DesignParams(v, k, t, lam))
+        # the bisection returns the report of the loop over every n up to ell,
+        # which raises if two main windows overlap; both kinds of window and
+        # cells outside both occur on the grid
+        kinds = set()
+        for lam in (1, 2, 3, 5):
+            for t in (2, 3, 4):
+                for k in range(t, 40):
+                    for v in range(k, 100):
+                        params = DesignParams(v, k, t, lam)
+                        rep = exact_by_theorems(params)
+                        assert rep == linear_exact_by_theorems(params), params
+                        kinds.add((rep.provenance, rep.value is None))
+        assert kinds == {(EXACT_WINDOW, False), (EXACT_THRESHOLD, False), (EXACT_WINDOW, True)}
 
     def test_threshold_window_shape(self):
         # the boundary window never inverts for k <= 40, t <= 4, lam <= 3, and
@@ -260,6 +266,7 @@ class TestExactByTheorems:
                 for k in range(t, 41):
                     ell = _least_ell(k, t, lam)
                     assert (t - 1) * choose(ell, lam) > k
+                    assert ell == lam or (t - 1) * choose(ell - 1, lam) <= k
                     lo = ell * k - (t - 1) * choose(ell, lam + 1)
                     hi = Fraction(
                         (lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1),

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import packings
 from packings import (
     DesignParams,
     best_upper_bound,
@@ -19,6 +24,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_alone(*argv):
+    """Exit code, stdout and stderr of the command line in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(packings.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "packings", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    calls = [
+        ("bounds", "--v", "12", "--k", "7", "--directed"),
+        ("bounds", "--v", "x"),
+        ("bounds", "--v", "12", "--k", "7"),
+    ]
+    for argv in calls:
+        assert run(capsys, *argv) == run_alone(*argv), argv
 
 
 class TestBounds:
@@ -86,6 +110,12 @@ class TestBounds:
         assert rows["second-johnson"] == ["", "n/a"]
         applicable = {name: int(value) for name, (value, kind) in rows.items() if kind == "upper"}
         assert rows["best"] == [str(min(applicable.values())), "johnson-schonheim"]
+
+    def test_half_v_block_size_at_large_v(self, capsys):
+        # the window bisection answers where a loop over n up to ell = k + 1 would not
+        code, out, _ = run(capsys, "bounds", "--v", "100000000", "--k", "50000000", "--tsv")
+        assert code == 0
+        assert "exact-window\t2\texact" in out.splitlines()
 
     def test_large_t3_cell_completes(self, capsys):
         code, out, _ = run(capsys, "bounds", "--v", "1000", "--k", "4", "--t", "3", "--tsv")
@@ -251,6 +281,16 @@ class TestExportCode:
                 assert code == 1 and "error" in err
                 assert out == ""
                 assert not dst.exists()
+
+    def test_oversized_constant_weight_code_is_invalid_input(self, capsys, tmp_path):
+        src = tmp_path / "d.json"
+        src.write_text(
+            '{"v": 1000000000, "k": 3, "t": 2, "lambda": 1, "directed": false, '
+            '"blocks": [[0, 1, 2], [3, 4, 5]]}'
+        )
+        code, out, err = run(capsys, "export-code", "-i", str(src), "--format", "cw")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "beyond the limit of 100,000,000" in err
 
     def test_format_design_mismatch(self, capsys, tmp_path, pack_6_3):
         src = tmp_path / "d.json"

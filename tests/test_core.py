@@ -262,11 +262,14 @@ class TestMultiplicityPaths:
 
 
 class TestScale:
-    def test_window_pipeline_at_k_2000_stays_small(self):
-        """Validate, direct, validate at lam=1 and export a 5-block design with k = 2000."""
+    # tracemalloc peaks near 110 bytes per block point at both sizes
+    PEAK_BYTES_PER_POINT = 400
+
+    def _window_pipeline_peak(self, v, k):
+        """Validate, direct, validate at lam=1 and export a 5-block design; the peak bytes."""
         from packings import construct_optimal, deletion_channel_check, direct_packing, to_indel_code
 
-        params = DesignParams(4995, 2000, 2, 2)
+        params = DesignParams(v, k, 2, 2)
         design = construct_optimal(params)[0]
         tracemalloc.start()
         try:
@@ -274,7 +277,7 @@ class TestScale:
             directed = direct_packing(design)
             directed_report = validate_directed(directed, params.with_lam(1))
             code = to_indel_code(directed, params.with_lam(1))
-            survives = deletion_channel_check(code, 1998)
+            survives = deletion_channel_check(code, k - 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,7 +285,15 @@ class TestScale:
         assert report.valid and report.worst_multiplicity == 2 and len(report.blocks) == 2
         assert directed_report.valid and directed_report.worst_multiplicity == 1
         assert survives
-        assert peak < 16 * 2**20, peak
+        return peak
+
+    def test_window_pipeline_at_k_2000_stays_small(self):
+        peak = self._window_pipeline_peak(4995, 2000)
+        assert peak < self.PEAK_BYTES_PER_POINT * 5 * 2000, peak
+
+    def test_window_pipeline_at_k_20000_stays_linear(self):
+        peak = self._window_pipeline_peak(49995, 20000)
+        assert peak < self.PEAK_BYTES_PER_POINT * 5 * 20000, peak
 
 
 class TestValidateDirected:
