@@ -33,6 +33,7 @@ EXACT_THRESHOLD = "exact-threshold"  # pinned at the largest constructible block
 EXACT_FAMILY = "exact-family"        # the tight parameter family hitting the threshold
 EXACT_DIRECTED = "exact-directed"    # directed window at (t, lam) = (2, 1)
 VIA_UNDIRECTED = "via-undirected"    # directed value bounded through its unordered shadow
+HORIZON_BITS_LIMIT = 1_000_000  # largest power, in bits, that _passing_horizon computes
 
 
 class NotApplicableError(ValueError):
@@ -121,6 +122,30 @@ def gen_second_johnson_feasible(d: int, params: DesignParams) -> bool:
     return (t - 1) * choose(d, lam + 1) >= v * choose(q, lam + 1) + r * choose(q, lam)
 
 
+def _passing_horizon(params: DesignParams, last: int) -> int:
+    """The least D <= last from which on every d passes the convexity test, else last + 1.
+
+    D is the least d >= lam with c*(d-lam)^(lam+1) >= (dk+v)^(lam+1), c = (t-1)*v^lam.
+    That suffices: (t-1)*C(d, lam+1) >= (t-1)*(d-lam)^(lam+1)/(lam+1)!, while by
+    q+1 <= (dk+v)/v the right side v*C(q, lam+1) + r*C(q, lam) = (v-r)*C(q, lam+1)
+    + r*C(q+1, lam+1) <= v*C(q+1, lam+1) <= (dk+v)^(lam+1)/(v^lam*(lam+1)!).  The
+    (lam+1)-th roots of both sides are linear in d; if c > k^(lam+1) the left grows
+    faster, so the condition stays true once it holds (else it never holds).
+    """
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+
+    def holds(d: int) -> bool:
+        return (t - 1) * v**lam * (d - lam) ** (lam + 1) >= (d * k + v) ** (lam + 1)
+
+    # the size check comes first: it keeps a huge lam from reaching the powers
+    if (lam + 1) * (last * k + v).bit_length() > HORIZON_BITS_LIMIT or not holds(last):
+        return last + 1
+    hi = lam + 1
+    while not holds(hi):
+        hi = min(2 * hi - lam, last)
+    return bisect_left(range(hi + 1), True, lo=lam, key=holds)
+
+
 def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
     """One less than the first block count failing the convexity counting test.
 
@@ -137,18 +162,20 @@ def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
     is nonnegative the segment holds no failure; otherwise f does not
     increase on [start, m], so its failures there form a suffix and a
     second bisection finds the first.  Nothing is assumed about f across
-    segments, so the first failure found is the first in d.  There are
-    about cap*k/v + 1 segments, and each costs O(log(v/k)) tests.
+    segments, so the first failure found is the first in d.  The walk ends
+    before any D from which on every d passes (``_passing_horizon``), so
+    about min(cap, D)*k/v + 1 segments are walked, at O(log(v/k)) tests each.
 
     The detail holds the first failing d with its q and r, or, when no d up
     to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     last = johnson_schonheim(params).value + 1
+    stop = _passing_horizon(params, last) - 1
     start = 0
-    while start <= last:
+    while start <= stop:
         q = start * k // v
-        end = min(((q + 1) * v - 1) // k, last)
+        end = min(((q + 1) * v - 1) // k, stop)
         rising = k * choose(q, lam)
         m = start  # most segments rise from their start
         if (t - 1) * choose(start, lam) < rising:

@@ -15,7 +15,7 @@ from . import bounds as bd
 from .bounds import NotApplicableError
 from .codes import deletion_channel_check, to_constant_weight, to_indel_code
 from .construct import construct_optimal
-from .core import DesignParams, structural_diagnostics, validate_directed, validate_packing
+from .core import DesignParams, structural_diagnostics, validate_packing
 from .directing import direct_packing
 from .io import DesignDocument, dumps_code, dumps_design, load_design
 from .solve import OPTIMAL, SearchConfig, dpdn_exact, pdn_exact
@@ -114,10 +114,7 @@ def cmd_verify(args) -> int:
     doc = load_design(args.input)
     k = doc.k if doc.k is not None else doc.design.v
     params = DesignParams(doc.design.v, k, doc.t, doc.lam)
-    if doc.directed:
-        report = validate_directed(doc.design, params)
-    else:
-        report = validate_packing(doc.design, params)
+    report = validate_packing(doc.design, params)
     print(f"valid: {'yes' if report.valid else 'no'}")
     if report.worst_t_set is not None:
         print(

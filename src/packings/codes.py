@@ -65,15 +65,15 @@ class IndelCode:
     """Fixed-length code over the alphabet {0, ..., alphabet_size-1}.
 
     Words are symbol sequences; repeats inside a word are forbidden unless
-    ``allow_repeats`` is set (used after constant words are appended).  The
-    code carries no deletion capability: ``deletion_channel_check`` decides
-    how many deletions it survives.
+    ``allow_repeats``, a permission that equality ignores, is set (as after
+    constant words are appended).  The code carries no deletion capability:
+    ``deletion_channel_check`` decides how many deletions it survives.
     """
 
     alphabet_size: int
     word_length: int
     words: tuple[tuple[int, ...], ...]
-    allow_repeats: bool = field(default=False, kw_only=True)
+    allow_repeats: bool = field(default=False, kw_only=True, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))

@@ -54,22 +54,11 @@ class DesignParams:
         return DesignParams(self.v, self.k, self.t, lam)
 
 
-def _check_block(block: tuple[int, ...], v: int) -> None:
-    seen = set()
-    for x in block:
-        if not 0 <= x < v:
-            raise StructuralError(f"point {x} out of range for v={v}")
-        if x in seen:
-            raise StructuralError(f"duplicate point {x} in block {block}")
-        seen.add(x)
-
-
 @dataclass(frozen=True)
-class PackingDesign:
-    """An unordered design: blocks over the point set {0, ..., v-1}.
+class _Design:
+    """Blocks over the point set {0, ..., v-1}; ``_canon`` puts each block in canonical form.
 
-    Blocks are canonicalized to sorted tuples.  Sizes may vary, and empty or
-    repeated blocks are legal input.
+    Sizes may vary, and empty or repeated blocks are legal input.
     """
 
     v: int
@@ -80,8 +69,14 @@ class PackingDesign:
             raise StructuralError(f"v must be positive, got {self.v}")
         canon = []
         for block in self.blocks:
-            b = tuple(sorted(block))
-            _check_block(b, self.v)
+            b = self._canon(block)
+            seen = set()
+            for x in b:
+                if not 0 <= x < self.v:
+                    raise StructuralError(f"point {x} out of range for v={self.v}")
+                if x in seen:
+                    raise StructuralError(f"duplicate point {x} in block {b}")
+                seen.add(x)
             canon.append(b)
         object.__setattr__(self, "blocks", tuple(canon))
 
@@ -91,25 +86,17 @@ class PackingDesign:
 
 
 @dataclass(frozen=True)
-class DirectedPackingDesign:
+class PackingDesign(_Design):
+    """An unordered design: blocks over {0, ..., v-1}, canonicalized to sorted tuples."""
+
+    _canon = staticmethod(lambda block: tuple(sorted(block)))
+
+
+@dataclass(frozen=True)
+class DirectedPackingDesign(_Design):
     """An ordered design: duplicate-free point sequences over {0, ..., v-1}."""
 
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.v < 1:
-            raise StructuralError(f"v must be positive, got {self.v}")
-        canon = []
-        for block in self.blocks:
-            b = tuple(block)
-            _check_block(b, self.v)
-            canon.append(b)
-        object.__setattr__(self, "blocks", tuple(canon))
-
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
+    _canon = staticmethod(tuple)
 
 
 Design = Union[PackingDesign, DirectedPackingDesign]
@@ -284,7 +271,17 @@ def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
             raise ValueError(f"block {block} larger than k={params.k}")
 
 
-def _validate(design: Design, params: DesignParams, uniform: bool) -> ValidationReport:
+def validate_packing(
+    design: Design, params: DesignParams, *, uniform: bool = False
+) -> ValidationReport:
+    """Check that every t-tuple of points lies in at most lam blocks, for either kind of design.
+
+    A t-tuple lies in a block when it is a subsequence of it: a t-subset of
+    a sorted block, an ordered t-tuple of a directed one, its entries not
+    necessarily consecutive.  ``validate_directed`` is this same function.
+    Repeated blocks count separately.  ``uniform`` additionally requires
+    every block to have size exactly k (the default allows any size up to k).
+    """
     _check_sizes(design, params, uniform)
     worst, mult = worst_multiplicity(design.blocks, params.t)
     holders = ()
@@ -297,32 +294,12 @@ def _validate(design: Design, params: DesignParams, uniform: bool) -> Validation
     return ValidationReport(mult <= params.lam, worst, mult, holders)
 
 
-def validate_packing(
-    design: PackingDesign, params: DesignParams, *, uniform: bool = False
-) -> ValidationReport:
-    """Check that every t-subset of points lies in at most lam blocks.
-
-    Repeated blocks count separately.  ``uniform`` additionally requires every
-    block to have size exactly k (the default allows any size up to k).
-    """
-    return _validate(design, params, uniform)
-
-
-def validate_directed(
-    design: DirectedPackingDesign, params: DesignParams, *, uniform: bool = False
-) -> ValidationReport:
-    """Check that every ordered t-tuple is a subsequence of at most lam blocks.
-
-    A t-tuple occurs in a block whenever its entries appear there in order;
-    they need not be consecutive.
-    """
-    return _validate(design, params, uniform)
+validate_directed = validate_packing
 
 
 def require_valid(design: Design, params: DesignParams, *, uniform: bool = False) -> None:
     """Raise ValueError naming the worst t-set and its blocks unless the design is valid."""
-    validate = validate_directed if isinstance(design, DirectedPackingDesign) else validate_packing
-    report = validate(design, params, uniform=uniform)
+    report = validate_packing(design, params, uniform=uniform)
     if not report.valid:
         raise ValueError(
             f"design is invalid at lam={params.lam}: t-set {report.worst_t_set} "

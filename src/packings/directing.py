@@ -121,15 +121,20 @@ def insert_point(
     return new
 
 
-def _check_directable(design: PackingDesign) -> None:
+def _check_directable(design: PackingDesign) -> dict[int, list[int]]:
+    """The indices of the blocks holding each point that occurs, once the design is directable."""
     pair, mult = worst_multiplicity(design.blocks, 2)
     if mult > 2:
         raise DirectingError(f"not a 2-fold packing: pair {pair} appears {mult} times")
-    # a frequency is the multiplicity of a 1-tuple; counting only the points
-    # that occur keeps memory independent of v
-    point, freq = worst_multiplicity(design.blocks, 1)
+    holders: dict[int, list[int]] = {}
+    for i, block in enumerate(design.blocks):
+        for x in block:
+            holders.setdefault(x, []).append(i)
+    freq = max(map(len, holders.values()), default=0)
     if freq > 3:
-        raise DirectingError(f"frequency bound violated at point {point[0]}")
+        point = min(x for x, hs in holders.items() if len(hs) == freq)
+        raise DirectingError(f"frequency bound violated at point {point}")
+    return holders
 
 
 def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
@@ -139,11 +144,7 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
     points that occur are inserted in ascending order into the blocks that
     hold them, starting from empty blocks.
     """
-    _check_directable(design)
-    holders: dict[int, list[int]] = {}
-    for i, block in enumerate(design.blocks):
-        for x in block:
-            holders.setdefault(x, []).append(i)
+    holders = _check_directable(design)
     # deques take a point at either end in O(1); only the three-block step
     # rebuilds its blocks
     ordered: list[deque[int]] = [deque() for _ in design.blocks]

@@ -15,14 +15,14 @@ from pathlib import Path
 from typing import Union
 
 from .codes import ConstantWeightCode, IndelCode
-from .core import DesignParams, DirectedPackingDesign, PackingDesign, StructuralError
+from .core import Design, DesignParams, DirectedPackingDesign, PackingDesign, StructuralError
 
 
 @dataclass(frozen=True)
 class DesignDocument:
     """A design plus the problem parameters stored alongside it."""
 
-    design: Union[PackingDesign, DirectedPackingDesign]
+    design: Design
     k: int | None
     t: int
     lam: int
@@ -84,11 +84,7 @@ def design_from_dict(data: object) -> DesignDocument:
             if not _is_int(x):
                 raise StructuralError(f"malformed design file: point {x!r} is not an integer")
         blocks.append(tuple(block))
-    design: Union[PackingDesign, DirectedPackingDesign]
-    if directed:
-        design = DirectedPackingDesign(v, tuple(blocks))
-    else:
-        design = PackingDesign(v, tuple(blocks))
+    design = (DirectedPackingDesign if directed else PackingDesign)(v, tuple(blocks))
     if k is not None:
         for block in design.blocks:
             if len(block) > k:
@@ -112,7 +108,7 @@ def loads_design(text: str) -> DesignDocument:
 
 def save_design(
     path: str | Path,
-    design: Union[PackingDesign, DirectedPackingDesign],
+    design: Design,
     *,
     k: int | None,
     t: int = 2,

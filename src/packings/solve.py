@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .bounds import best_upper_bound
 from .core import (
+    Design,
     DesignParams,
     DirectedPackingDesign,
     PackingDesign,
@@ -60,7 +61,7 @@ class SearchConfig:
 
 class SearchResult(NamedTuple):
     n: int
-    witness: Union[PackingDesign, DirectedPackingDesign]
+    witness: Design
     certificate: str
     nodes: int = 0  # nodes visited, the unit the node budget counts
 
@@ -170,7 +171,7 @@ def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResu
 
 
 def certify_optimal(
-    design: Union[PackingDesign, DirectedPackingDesign],
+    design: Design,
     params: DesignParams,
     config: SearchConfig | None = None,
 ) -> bool:

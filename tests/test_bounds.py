@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from packings.bounds import (
     EXACT_WINDOW,
     GEN_SECOND_JOHNSON,
     _least_ell,
+    _passing_horizon,
     least_bound,
     sj_quadratic_feasible,
 )
@@ -138,7 +140,7 @@ class TestGenSecondJohnson:
         assert gen_second_johnson_bound(DesignParams(14, 5, 2, 1)).value == 4
 
     def test_matches_linear_scan_over_grid(self):
-        offsets = []
+        offsets, cut = [], 0
         for t in (1, 2, 3):
             for lam in (1, 2, 3):
                 for k in range(t, 10):
@@ -147,18 +149,49 @@ class TestGenSecondJohnson:
                         ref = linear_first_infeasible(params)
                         assert gen_second_johnson_bound(params) == ref, params
                         offsets.append(failure_offset(ref, params))
-        # the grid reaches failures at a segment's first d and inside one
+                        cap = johnson_schonheim(params).value
+                        cut += _passing_horizon(params, cap) <= cap
+        # the grid reaches failures at a segment's first d and inside one,
+        # and cells where the horizon stops the walk short of cap + 1
         assert offsets.count(0) > 100
         assert sum(1 for off in offsets if off) > 100
+        assert cut > 1000
 
     @pytest.mark.parametrize(
         "cell",
         [(600, 3, 2, 1), (600, 3, 2, 2), (400, 4, 2, 2), (100, 4, 3, 1),
-         (150, 3, 2, 3), (500, 6, 2, 1), (60, 5, 3, 2), (40, 4, 3, 3)],
+         (150, 3, 2, 3), (500, 6, 2, 1), (60, 5, 3, 2), (40, 4, 3, 3),
+         # the horizon stops the walk far below cap + 1 (22 of 481, 24 of 7426, 8 of 1181)
+         (100, 5, 2, 1), (300, 4, 2, 1), (60, 3, 2, 2)],
     )
     def test_matches_linear_scan_on_large_cells(self, cell):
         params = DesignParams(*cell)
         assert gen_second_johnson_bound(params) == linear_first_infeasible(params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=st.integers(2, 40),
+        lam=st.integers(1, 4),
+        k=st.integers(2, 60),
+        v_over_k=st.integers(1, 300),
+    )
+    def test_every_count_past_the_horizon_passes(self, t, lam, k, v_over_k):
+        params = DesignParams(k * v_over_k + k // 2, k, min(t, k), lam)
+        horizon = _passing_horizon(params, 10**9)
+        assume(horizon <= 10**9)
+        assert horizon >= lam
+        for d in range(horizon, horizon + 300):
+            assert gen_second_johnson_feasible(d, params), (params, horizon, d)
+
+    def test_horizon_at_the_edge_of_its_condition(self):
+        # (t-1)*v^lam = k^(lam+1) leaves the walk to cap + 1
+        assert _passing_horizon(DesignParams(9, 3, 2, 1), 10**6) == 10**6 + 1
+        # hand evaluation at v = 10: 10*80^2 = 64000 < 253^2 = 64009, 10*81^2 = 65610 >= 256^2
+        params = DesignParams(10, 3, 2, 1)
+        assert [_passing_horizon(params, last) for last in (80, 81, 82, 10**6)] == [81, 82, 82, 82]
+        # a shadow lam of 1000! would need powers far past the size limit
+        params = DesignParams(3000, 1500, 1000, math.factorial(1000))
+        assert _passing_horizon(params, 10**1000) == 10**1000 + 1
 
     @settings(max_examples=100, deadline=None)
     @given(params=long_segment_cells())

@@ -117,6 +117,19 @@ class TestBounds:
         assert code == 0
         assert "exact-window\t2\texact" in out.splitlines()
 
+    def test_convexity_walk_stops_at_its_horizon(self, capsys):
+        # every d passes the test here, and the Johnson-Schonheim cap has 12 digits
+        code, out, _ = run(capsys, "bounds", "--v", "100", "--k", "50", "--t", "30", "--tsv")
+        assert code == 0
+        assert out.splitlines() == [
+            "provenance\tvalue\tkind",
+            "johnson-schonheim\t494749743422\tupper",
+            "generalized-second-johnson\t\tn/a",
+            "second-johnson\t\tn/a",
+            "exact-window\t\tn/a",
+            "best\t494749743422\tjohnson-schonheim",
+        ]
+
     def test_large_t3_cell_completes(self, capsys):
         code, out, _ = run(capsys, "bounds", "--v", "1000", "--k", "4", "--t", "3", "--tsv")
         assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -78,6 +79,26 @@ class TestTypes:
     def test_directed_order_preserved(self):
         d = DirectedPackingDesign(5, ((3, 1, 2),))
         assert d.blocks == ((3, 1, 2),)
+
+    def test_the_two_kinds_stay_distinct(self):
+        # same v and blocks (sorted, so both keep them as given), yet unequal
+        plain = PackingDesign(5, ((0, 1, 2), (2, 3)))
+        ordered = DirectedPackingDesign(5, ((0, 1, 2), (2, 3)))
+        assert plain.blocks == ordered.blocks
+        assert plain != ordered and ordered != plain
+        assert len({plain, ordered, PackingDesign(5, ((2, 1, 0), (3, 2)))}) == 2
+        assert repr(plain) == "PackingDesign(v=5, blocks=((0, 1, 2), (2, 3)))"
+        assert repr(ordered) == "DirectedPackingDesign(v=5, blocks=((0, 1, 2), (2, 3)))"
+
+    def test_designs_are_frozen(self):
+        for design in (PackingDesign(4, ((0, 1),)), DirectedPackingDesign(4, ((1, 0),))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                design.v = 5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                design.blocks = ()
+
+    def test_one_validator_under_two_names(self):
+        assert validate_directed is validate_packing
 
 
 class TestValidatePacking:

@@ -5,8 +5,10 @@ import pytest
 from packings import (
     DesignParams,
     DirectedPackingDesign,
+    IndelCode,
     PackingDesign,
     StructuralError,
+    add_constant_words,
     load_code,
     load_design,
     save_code,
@@ -128,6 +130,14 @@ class TestCodeFiles:
         assert data["type"] == "indel"
         assert data["alphabet"] == 6 and data["length"] == 4
         assert load_code(path) == code
+        # the file records no allow_repeats; codes that allow repeats but have
+        # none load back without the permission, and still compare equal
+        for code in (
+            add_constant_words(IndelCode(3, 1, ())),
+            IndelCode(3, 2, ((0, 1),), allow_repeats=True),
+        ):
+            save_code(path, code)
+            assert load_code(path) == code, code
 
     def test_indel_round_trip_beyond_pairs(self, tmp_path):
         # a t = 3 code loads back equal: the file holds everything the code holds
@@ -138,8 +148,6 @@ class TestCodeFiles:
         assert load_code(path) == code
 
     def test_repeat_words_survive_round_trip(self, tmp_path, directed_6_4):
-        from packings import add_constant_words
-
         code = add_constant_words(to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1)))
         path = tmp_path / "code.json"
         save_code(path, code)
