@@ -8,15 +8,15 @@ arithmetic; nothing here touches floating point.
 One convexity search and one window loop serve every case: the second
 Johnson bound is the lam = 1 case of the convexity bound, and the directed
 window is the (t, lam) = (2, 2) case of the main counting window.  The
-convexity search bisects the segments of constant floor(dk/v) rather than
-stepping through every block count.  ``bound_candidates`` alone decides
-which bounds apply, and ``best_upper_bound`` is the minimum of its list.
+convexity search walks the segments of constant floor(dk/v), not every
+block count; ``_first_true`` makes every monotone search.  ``bound_candidates``
+alone decides which bounds apply, and ``best_upper_bound`` is their minimum.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -52,6 +52,19 @@ class BoundReport:
     @property
     def applicable(self) -> bool:
         return self.value is not None
+
+
+def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Least x in [lo, hi) with pred(x), else hi, for pred false then true there: a
+    gallop from lo (lo, lo+2, lo+6, ...), then bisection, on ints of any size."""
+    step = 1  # stays above hi - lo once the gallop has passed the answer
+    while lo < hi:
+        x = lo + step - 1 if step <= hi - lo else (lo + hi) // 2
+        if pred(x):
+            hi = x
+        else:
+            lo, step = x + 1, 2 * step
+    return lo
 
 
 def johnson_schonheim(params: DesignParams) -> BoundReport:
@@ -140,10 +153,27 @@ def _passing_horizon(params: DesignParams, last: int) -> int:
     # the size check comes first: it keeps a huge lam from reaching the powers
     if (lam + 1) * (last * k + v).bit_length() > HORIZON_BITS_LIMIT or not holds(last):
         return last + 1
-    hi = lam + 1
-    while not holds(hi):
-        hi = min(2 * hi - lam, last)
-    return bisect_left(range(hi + 1), True, lo=lam, key=holds)
+    return _first_true(holds, lam, last)
+
+
+def _bernoulli_horizon(params: DesignParams, last: int) -> int:
+    """A D' from which on every d passes the convexity test, capped at last + 1.
+
+    Let m = floor((lam+1)(t-1)/(v-t+1)); when m < 1 or m(v-k) <= k the cap is
+    returned.  Otherwise D' = ceil((m+1)v / (mv - (m+1)k)).  Take d >= D' and
+    q = floor(dk/v).  If q < lam the right side of the test is 0.  Else
+    d(mv - (m+1)k) >= (m+1)v and q+1 <= (dk+v)/v give d >= (1+1/m)(q+1), so each
+    factor (d-i)/(q+1-i), i <= lam, of C(d, lam+1)/C(q+1, lam+1) is at least
+    1+1/m, and by Bernoulli the ratio is at least 1 + (lam+1)/m >= v/(t-1) (the
+    last step by the choice of m).  The right side is at most v*C(q+1, lam+1),
+    as ``_passing_horizon`` shows, so d passes.  No powers are computed, so a
+    huge lam costs nothing here.
+    """
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    m = (lam + 1) * (t - 1) // (v - t + 1)
+    if m < 1 or m * (v - k) <= k:
+        return last + 1
+    return min(-(-(m + 1) * v // (m * v - (m + 1) * k)), last + 1)
 
 
 def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
@@ -157,35 +187,30 @@ def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
         f(d) = (t-1)*C(d, lam+1) - v*C(q, lam+1) - r*C(q, lam)
 
     has forward difference f(d+1) - f(d) = (t-1)*C(d, lam) - k*C(q, lam),
-    which never decreases in d: f is convex on the segment.  Bisecting on
+    which never decreases in d: f is convex on the segment.  A search on
     the sign of that difference finds the segment's minimiser m.  If f(m)
     is nonnegative the segment holds no failure; otherwise f does not
     increase on [start, m], so its failures there form a suffix and a
-    second bisection finds the first.  Nothing is assumed about f across
+    second search finds the first.  Nothing is assumed about f across
     segments, so the first failure found is the first in d.  The walk ends
-    before any D from which on every d passes (``_passing_horizon``), so
-    about min(cap, D)*k/v + 1 segments are walked, at O(log(v/k)) tests each.
+    before the smaller of two horizons D from which on every d passes
+    (``_passing_horizon`` and ``_bernoulli_horizon``), so about
+    min(cap, D)*k/v + 1 segments are walked, at O(log(v/k)) tests each.
 
     The detail holds the first failing d with its q and r, or, when no d up
     to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     last = johnson_schonheim(params).value + 1
-    stop = _passing_horizon(params, last) - 1
+    stop = min(_passing_horizon(params, last), _bernoulli_horizon(params, last)) - 1
     start = 0
     while start <= stop:
         q = start * k // v
         end = min(((q + 1) * v - 1) // k, stop)
         rising = k * choose(q, lam)
-        m = start  # most segments rise from their start
-        if (t - 1) * choose(start, lam) < rising:
-            m += bisect_left(
-                range(start, end), True, key=lambda d: (t - 1) * choose(d, lam) >= rising
-            )
+        m = _first_true(lambda d: (t - 1) * choose(d, lam) >= rising, start, end)
         if not gen_second_johnson_feasible(m, params):
-            d = start + bisect_left(
-                range(start, m), True, key=lambda d: not gen_second_johnson_feasible(d, params)
-            )
+            d = _first_true(lambda d: not gen_second_johnson_feasible(d, params), start, m)
             q, r = divmod(d * k, v)
             return BoundReport(
                 d - 1, GEN_SECOND_JOHNSON, {"first_infeasible": d, "q": q, "r": r}
@@ -255,13 +280,8 @@ def horsley_bound_2(v: int, k: int, lam: int = 1) -> BoundReport:
 
 
 def _least_ell(k: int, t: int, lam: int) -> int:
-    """Least integer ell >= lam with (t-1) * C(ell, lam) > k, by galloping and bisection."""
-    step = 1
-    while (t - 1) * choose(lam + step, lam) <= k:
-        step *= 2
-    return bisect_left(
-        range(lam + step + 1), True, lo=lam, key=lambda ell: (t - 1) * choose(ell, lam) > k
-    )
+    """Least integer ell >= lam with (t-1) * C(ell, lam) > k; at most lam + k when t >= 2."""
+    return _first_true(lambda ell: (t - 1) * choose(ell, lam) > k, lam, lam + k)
 
 
 def _window_edge(n: int, k: int, t: int, lam: int) -> int:
@@ -275,14 +295,14 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
     failing that, tries the boundary window at ell, the least count with
     (t-1)C(ell,lam) > k, whose upper edge is a rational number compared
     exactly.  As e(n+1) - e(n) = k - (t-1)C(n,lam), e does not decrease on
-    1..ell, so that n is the last count there with e(n) <= lam*v, found by
-    bisection, and it lies below ell.
+    1..ell, so that n is one less than the first count there with
+    e(n) > lam*v, found by ``_first_true``, and it lies below ell.
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     if t < 2:
         raise ValueError(f"require t >= 2, got t={t}")
     ell = _least_ell(k, t, lam)
-    n = bisect_right(range(ell + 1), lam * v, lo=1, key=lambda n: _window_edge(n, k, t, lam)) - 1
+    n = _first_true(lambda n: _window_edge(n, k, t, lam) > lam * v, 1, ell + 1) - 1
     if 1 <= n < ell:
         lo, hi = _window_edge(n, k, t, lam), _window_edge(n + 1, k, t, lam)
         if not lo <= lam * v < hi:

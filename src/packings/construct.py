@@ -15,6 +15,9 @@ from itertools import combinations
 from .bounds import BoundReport, NotApplicableError, exact_by_theorems
 from .core import DesignParams, PackingDesign, choose
 
+# Largest design general_construction builds, in block entries n*k and in points v.
+CONSTRUCT_POINTS_LIMIT = 100_000_000
+
 
 @dataclass(frozen=True)
 class ConstructionLayout:
@@ -54,7 +57,9 @@ def general_construction(
     Point numbering: shared points first, in lexicographic order of
     (index subset, copy), then the inner-packing points.  Requires
     k >= (t-1)*C(n-1, lam) and lam*v >= n*k - (t-1)*C(n, lam+1); violations
-    raise with the failed inequality spelled out.
+    raise with the failed inequality spelled out.  A design with more than
+    CONSTRUCT_POINTS_LIMIT block entries or points is refused before anything
+    is built.
     """
     if not v >= k >= t >= 2:
         raise ValueError(f"hypotheses not met: need v >= k >= t >= 2, got v={v} k={k} t={t}")
@@ -70,6 +75,9 @@ def general_construction(
         raise ValueError(
             f"hypotheses not met: lam*v >= n*k - (t-1)*C(n,lam+1) fails ({lam * v} < {floor_edge})"
         )
+    if max(n * k, v) > CONSTRUCT_POINTS_LIMIT:
+        raise ValueError(f"design of {n:,} blocks of size {k:,} on {v:,} points exceeds "
+                         f"the limit of {CONSTRUCT_POINTS_LIMIT:,} points")
 
     if n <= lam:
         # any n blocks will do: no t-subset can exceed multiplicity n <= lam

@@ -122,17 +122,32 @@ def _search(
     return best_n, best, certificate, nodes
 
 
+def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
+    """P(v, k) or C(v, k) and its text, or, past 10,000 bits, 2**100 and "P(v, k)" or "C(v, k)".
+
+    The count is below v**j, j = k or min(k, v - k), so it is computed when
+    j * bits(v) <= 10,000.  Beyond that it is at least 2**100, which exceeds
+    every limit here: either j > 100, and C(v, j) >= 2**j as j <= v/2 (and
+    P(v, k) >= k!), or v >= 2**100 and j >= 1, so the count is at least v.
+    Neither math.comb nor the message then meets a number of millions of digits.
+    """
+    j = k if directed else min(k, v - k)
+    if j * v.bit_length() > 10_000:
+        return 2**100, f"{'P' if directed else 'C'}({v}, {k})"
+    count = math.perm(v, k) if directed else math.comb(v, k)
+    return count, f"{count:,}"
+
+
 def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
     """The shared search: one mask per candidate block, capped by the classical bounds."""
     v, k, t, lam = params.v, params.k, params.t, params.lam
     arrange, what = (permutations, "ordered blocks") if directed else (combinations, "blocks")
-    count = math.perm if directed else math.comb
-    pool, n_units = count(v, k), count(v, t)
+    (pool, pool_text), (n_units, units_text) = _count(v, k, directed), _count(v, t, directed)
     if pool > POOL_LIMIT:
-        raise ValueError(f"search pool of {pool:,} {what} exceeds the limit of {POOL_LIMIT:,}")
+        raise ValueError(f"search pool of {pool_text} {what} exceeds the limit of {POOL_LIMIT:,}")
     if pool * n_units > MASK_BITS_LIMIT:
-        raise ValueError(f"search pool of {pool:,} {what} over {n_units:,} units needs "
-                         f"{pool * n_units:,} mask bits, beyond the limit of {MASK_BITS_LIMIT:,}")
+        raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
+                         f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
     cands = list(arrange(range(v), k))
     unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
     masks = [sum(map(unit.__getitem__, combinations(c, t))) for c in cands]

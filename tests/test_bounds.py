@@ -25,6 +25,8 @@ from packings.bounds import (
     EXACT_THRESHOLD,
     EXACT_WINDOW,
     GEN_SECOND_JOHNSON,
+    _bernoulli_horizon,
+    _first_true,
     _least_ell,
     _passing_horizon,
     least_bound,
@@ -53,6 +55,34 @@ def long_segment_cells(draw):
     k = draw(st.integers(3, 30))
     v = draw(st.integers(2 * k, max(2 * k, k * k // (t - 1))))
     return DesignParams(v, k, t, lam)
+
+
+class TestFirstTrue:
+    def test_matches_a_linear_scan(self):
+        # every threshold position, including none and all, on ranges of every small length
+        for lo in (0, 5):
+            for length in range(40):
+                hi = lo + length
+                for first in range(lo, hi + 1):
+                    probes = []
+
+                    def pred(x):
+                        assert lo <= x < hi, (lo, hi, x)
+                        probes.append(x)
+                        return x >= first
+
+                    assert _first_true(pred, lo, hi) == first
+                    assert len(probes) <= 2 * max(1, (first - lo + 1).bit_length()) + 1
+
+    def test_one_probe_when_true_at_lo(self):
+        probes = []
+        assert _first_true(lambda x: probes.append(x) or True, 7, 10**30) == 7
+        assert probes == [7]
+
+    def test_bounds_past_ssize_t(self):
+        first = 3 * 2**70 + 12345
+        assert _first_true(lambda x: x >= first, 1, 2**80) == first
+        assert _first_true(lambda x: False, 2**64, 2**64 + 5) == 2**64 + 5
 
 
 class TestJohnsonSchonheim:
@@ -193,6 +223,57 @@ class TestGenSecondJohnson:
         params = DesignParams(3000, 1500, 1000, math.factorial(1000))
         assert _passing_horizon(params, 10**1000) == 10**1000 + 1
 
+    def test_matches_linear_scan_at_large_lam(self):
+        # cells whose Johnson-Schonheim cap is at most 3000, with v close to k
+        # (where large lam still fails) and far from it; each horizon stops
+        # the walk short of cap + 1 on some of them
+        bernoulli = power = failures = 0
+        for t in (2, 3):
+            for lam in (10, 100, 400):
+                for k in (4, 10, 16):
+                    for v in (k, k + 1, k + 2, k + 7, k + 20, k + 44):
+                        params = DesignParams(v, k, t, lam)
+                        cap = johnson_schonheim(params).value
+                        if cap > 3000:
+                            continue
+                        ref = linear_first_infeasible(params)
+                        assert gen_second_johnson_bound(params) == ref, params
+                        failures += ref.value is not None and v > k
+                        b, p = _bernoulli_horizon(params, cap), _passing_horizon(params, cap)
+                        bernoulli += b < min(p, cap + 1)
+                        power += p < min(b, cap + 1)
+        assert failures >= 3 and bernoulli > 20 and power > 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.integers(2, 40),
+        lam=st.integers(1, 400),
+        k=st.integers(2, 3000),
+        v=st.integers(2, 3000),
+    )
+    def test_every_count_past_the_bernoulli_horizon_passes(self, t, lam, k, v):
+        k = max(k, t)
+        assume(v >= k)
+        params = DesignParams(v, k, t, lam)
+        horizon = _bernoulli_horizon(params, 10**9)
+        assume(horizon <= 10**9)
+        # below d = lam*v/k the right side of the test is 0, so also start
+        # a window where it is not
+        for start in {horizon, max(horizon, -(-lam * v // k))}:
+            for d in range(start, start + 300):
+                assert gen_second_johnson_feasible(d, params), (params, horizon, d)
+
+    def test_bernoulli_horizon_by_hand(self):
+        # m = floor(10001/99) = 101, D' = ceil(102*100 / (101*100 - 102*50)) = ceil(10200/5000)
+        assert _bernoulli_horizon(DesignParams(100, 50, 2, 10_000), 10**6) == 3
+        assert _bernoulli_horizon(DesignParams(100, 50, 2, 10_000), 1) == 2
+        # m = 0 at t = 1, and m(v-k) = 1*50 <= 50 at (100, 50, 2, 98): the cap is returned
+        assert _bernoulli_horizon(DesignParams(100, 50, 1, 10_000), 40) == 41
+        assert _bernoulli_horizon(DesignParams(100, 50, 2, 98), 40) == 41
+        # the directed shadow at t = 1000 needs no powers of lam = 1000!
+        params = DesignParams(3000, 1500, 1000, math.factorial(1000))
+        assert _bernoulli_horizon(params, 10**1000) == 3
+
     @settings(max_examples=100, deadline=None)
     @given(params=long_segment_cells())
     @example(params=DesignParams(7, 3, 2, 1))  # fails at d = 8, inside [7, 9]
@@ -288,6 +369,11 @@ class TestExactByTheorems:
                         assert rep == linear_exact_by_theorems(params), params
                         kinds.add((rep.provenance, rep.value is None))
         assert kinds == {(EXACT_WINDOW, False), (EXACT_THRESHOLD, False), (EXACT_WINDOW, True)}
+
+    def test_ell_and_window_past_ssize_t(self):
+        assert _least_ell(10**19, 2, 1) == 10**19 + 1
+        rep = exact_by_theorems(DesignParams(2 * 10**19, 10**19, 2, 1))
+        assert (rep.value, rep.provenance) == (2, EXACT_WINDOW)
 
     def test_threshold_window_shape(self):
         # the boundary window never inverts for k <= 40, t <= 4, lam <= 3, and

@@ -130,6 +130,25 @@ class TestBounds:
             "best\t494749743422\tjohnson-schonheim",
         ]
 
+    def test_cells_past_ssize_t_and_at_huge_lam_complete(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--v", "20000000000000000000", "--k", "10000000000000000000", "--tsv"
+        )
+        assert code == 0
+        assert "exact-window\t2\texact" in out.splitlines()
+        # the shadow lam is 1000!, far past the size limit of the power horizon
+        code, out, _ = run(
+            capsys, "bounds", "--v", "3000", "--k", "1500", "--t", "1000", "--directed"
+        )
+        assert code == 0 and out.splitlines()[-1].startswith("best: ")
+        # about 10^4 segments below the power horizon, none below the Bernoulli one
+        code, out, _ = run(
+            capsys, "bounds", "--v", "100", "--k", "50", "--t", "2", "--lambda", "10000", "--tsv"
+        )
+        assert code == 0
+        assert "generalized-second-johnson\t\tn/a" in out.splitlines()
+        assert out.splitlines()[-1] == "best\t40408\tjohnson-schonheim"
+
     def test_large_t3_cell_completes(self, capsys):
         code, out, _ = run(capsys, "bounds", "--v", "1000", "--k", "4", "--t", "3", "--tsv")
         assert code == 0
@@ -157,6 +176,14 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "--v", "12", "--k", "3")
         assert code == 2
         assert "error" in err
+
+    def test_oversized_design_is_refused_in_one_line(self, capsys):
+        for v, k in (("1000000000000", "500000000000"),
+                     ("18446744073709551616", "9223372036854775808")):
+            code, out, err = run(capsys, "construct", "--v", v, "--k", k)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "exceeds the limit of 100,000,000 points" in err
 
 
 class TestDirectVerify:
@@ -242,6 +269,13 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--v", "20", "--k", "10", "--t", "5")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "beyond the limit of 100,000,000" in err
+
+    def test_huge_pool_is_refused_in_one_line(self, capsys):
+        for v, k in (("18446744073709551616", "9223372036854775808"), ("100000", "50000")):
+            code, out, err = run(capsys, "solve", "--v", v, "--k", k)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"C({v}, {k}) blocks exceeds the limit of 200,000" in err
 
 
 class TestExportCode:

@@ -11,6 +11,7 @@ from packings import (
     general_construction,
     validate_packing,
 )
+from packings import construct
 from packings.core import choose
 from conftest import point_frequencies
 
@@ -65,6 +66,18 @@ class TestGeneralConstruction:
         )
         assert point_frequencies(design) == [2] * 6 + [1] * 8
         assert validate_packing(design, DesignParams(14, 5, 2, 1)).valid
+
+    def test_size_limit_refuses_before_building(self, monkeypatch):
+        # 4 blocks of 5 on 14 points hold 20 entries; (2, 9, 2, 2, 1) keeps
+        # n*k = 4 but has v = 9 points
+        monkeypatch.setattr(construct, "CONSTRUCT_POINTS_LIMIT", 20)
+        assert len(general_construction(4, 14, 5, 2, 1)[0].blocks) == 4
+        monkeypatch.setattr(construct, "CONSTRUCT_POINTS_LIMIT", 19)
+        with pytest.raises(ValueError, match="exceeds the limit of 19 points"):
+            general_construction(4, 14, 5, 2, 1)
+        monkeypatch.setattr(construct, "CONSTRUCT_POINTS_LIMIT", 8)
+        with pytest.raises(ValueError, match="on 9 points exceeds the limit of 8 points"):
+            general_construction(2, 9, 2, 2, 1)
 
     def test_six_point_design_has_no_inner_points(self):
         design, layout = general_construction(4, 6, 3, 2, 1)
