@@ -49,10 +49,6 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
     exact: bool = False
 
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
-
 
 def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
     """Least x in [lo, hi) with pred(x), else hi, for pred false then true there: a

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import bounds as bd
@@ -57,10 +58,20 @@ def _emit(args, text: str, summary: str) -> None:
         sys.stdout.write(text)
 
 
+def _text(value) -> str:
+    """``str(value)``, also for an int past 4,300 digits or a dict holding one, which str refuses."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{key!r}: {_text(x)}" for key, x in value.items()) + "}"
+        return str(Decimal(value))
+
+
 def _print_tsv(header: tuple[str, ...], rows) -> None:
     """One tab-separated line per row under the header; None prints as an empty cell."""
     for row in (header, *rows):
-        print("\t".join("" if cell is None else str(cell) for cell in row))
+        print("\t".join("" if cell is None else _text(cell) for cell in row))
 
 
 def cmd_bounds(args) -> int:
@@ -85,10 +96,10 @@ def cmd_bounds(args) -> int:
     else:
         width = max(len(name) for name, _, _ in rows)
         for name, value, exact in rows:
-            shown = "not applicable" if value is None else str(value)
+            shown = "not applicable" if value is None else _text(value)
             mark = "  (exact)" if exact and value is not None else ""
             print(f"{name:<{width}}  {shown}{mark}")
-        print(f"best: {best.value} via {best.provenance}")
+        print(f"best: {_text(best.value)} via {best.provenance}")
     return EXIT_OK
 
 
@@ -127,7 +138,7 @@ def cmd_verify(args) -> int:
     )
     if report.valid and not doc.directed and uniform and doc.design.blocks:
         for name, passed, witness in structural_diagnostics(doc.design, params):
-            print(f"check {name}: {'pass' if passed else 'FAIL'} {witness}")
+            print(f"check {name}: {'pass' if passed else 'FAIL'} {_text(witness)}")
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -185,7 +196,7 @@ def cmd_table(args) -> int:
     else:
         print(f"{'v':>3} {'k':>3} {'value':>6} {'kind':>6}  provenance")
         for v, k, value, kind, provenance in rows:
-            print(f"{v:>3} {k:>3} {value:>6} {kind:>6}  {provenance}")
+            print(f"{v:>3} {k:>3} {_text(value):>6} {kind:>6}  {provenance}")
     return EXIT_OK
 
 

@@ -52,7 +52,7 @@ class ConstantWeightCode:
         for w in self.words:
             if len(w) != self.length:
                 raise ValueError(f"word {w} does not have length {self.length}")
-            if any(bit not in (0, 1) for bit in w):
+            if not set(w) <= {0, 1}:
                 raise ValueError(f"word {w} is not binary")
             if sum(w) != self.weight:
                 raise ValueError(f"word {w} does not have weight {self.weight}")
@@ -80,7 +80,7 @@ class IndelCode:
         for w in self.words:
             if len(w) != self.word_length:
                 raise ValueError(f"word {w} does not have length {self.word_length}")
-            if any(not 0 <= sym < self.alphabet_size for sym in w):
+            if w and not (0 <= min(w) and max(w) < self.alphabet_size):
                 raise ValueError(f"word {w} uses symbols outside the alphabet")
             if not self.allow_repeats and len(set(w)) != len(w):
                 raise ValueError(f"word {w} repeats a symbol")

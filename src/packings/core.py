@@ -67,18 +67,17 @@ class _Design:
     def __post_init__(self) -> None:
         if self.v < 1:
             raise StructuralError(f"v must be positive, got {self.v}")
-        canon = []
-        for block in self.blocks:
-            b = self._canon(block)
-            seen = set()
-            for x in b:
-                if not 0 <= x < self.v:
-                    raise StructuralError(f"point {x} out of range for v={self.v}")
-                if x in seen:
-                    raise StructuralError(f"duplicate point {x} in block {b}")
-                seen.add(x)
-            canon.append(b)
-        object.__setattr__(self, "blocks", tuple(canon))
+        blocks = tuple(map(self._canon, self.blocks))
+        for b in blocks:
+            if b and not (0 <= min(b) and max(b) < self.v and len(set(b)) == len(b)):
+                seen = set()  # walk the points only to name the first bad one
+                for x in b:
+                    if not 0 <= x < self.v:
+                        raise StructuralError(f"point {x} out of range for v={self.v}")
+                    if x in seen:
+                        raise StructuralError(f"duplicate point {x} in block {b}")
+                    seen.add(x)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:

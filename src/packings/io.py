@@ -4,13 +4,15 @@ Design files carry the fields v, k, t, lambda, directed, blocks (in that
 order, UTF-8); k is null for variable block sizes and points are 0-based.
 Code files carry type ("cw" or "indel"), length, weight or alphabet, and the
 word list: 0/1 strings for constant-weight words (leftmost character is
-point 0), integer arrays for deletion-code words.
+point 0), integer arrays for deletion-code words.  Both kinds are written
+as one line of JSON and read in any layout.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -38,15 +40,38 @@ class DesignDocument:
         return DesignParams(self.design.v, self.k, self.t, self.lam)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _decode(text: str, kind: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"malformed {kind} file: {exc}") from exc
+
+
+def _fields(data: object, kind: str, keys: tuple[str, ...]) -> dict:
+    if not isinstance(data, dict):
+        raise StructuralError(f"malformed {kind} file: expected a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise StructuralError(f"malformed {kind} file: missing keys {missing}")
+    return data
 
 
 def _require_int(data: dict, key: str, kind: str = "design") -> int:
     value = data[key]
-    if not _is_int(value):
+    if type(value) is not int:  # bool is a subclass of int, not an int here
         raise StructuralError(f"malformed {kind} file: {key!r} must be an integer")
     return value
+
+
+def _int_rows(data: dict, key: str, kind: str) -> list:
+    """``data[key]`` as a list of integer lists; the points are walked only to name a bad one."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise StructuralError(f"malformed {kind} file: {key!r} must be a list of integer lists")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise StructuralError(f"malformed {kind} file: point {bad!r} is not an integer")
+    return rows
 
 
 def design_to_dict(doc: DesignDocument) -> dict:
@@ -61,11 +86,7 @@ def design_to_dict(doc: DesignDocument) -> dict:
 
 
 def design_from_dict(data: object) -> DesignDocument:
-    if not isinstance(data, dict):
-        raise StructuralError("malformed design file: expected a JSON object")
-    missing = [key for key in ("v", "k", "t", "lambda", "directed", "blocks") if key not in data]
-    if missing:
-        raise StructuralError(f"malformed design file: missing keys {missing}")
+    data = _fields(data, "design", ("v", "k", "t", "lambda", "directed", "blocks"))
     v = _require_int(data, "v")
     t = _require_int(data, "t")
     lam = _require_int(data, "lambda")
@@ -75,35 +96,20 @@ def design_from_dict(data: object) -> DesignDocument:
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise StructuralError("malformed design file: 'directed' must be a boolean")
-    raw_blocks = data["blocks"]
-    if not isinstance(raw_blocks, list) or any(not isinstance(b, list) for b in raw_blocks):
-        raise StructuralError("malformed design file: 'blocks' must be a list of lists")
-    blocks = []
-    for block in raw_blocks:
-        for x in block:
-            if not _is_int(x):
-                raise StructuralError(f"malformed design file: point {x!r} is not an integer")
-        blocks.append(tuple(block))
-    design = (DirectedPackingDesign if directed else PackingDesign)(v, tuple(blocks))
-    if k is not None:
-        for block in design.blocks:
-            if len(block) > k:
-                raise StructuralError(
-                    f"malformed design file: block {block} larger than k={k}"
-                )
+    # the design's constructor makes each block a tuple, so the lists go in as read
+    design = (DirectedPackingDesign if directed else PackingDesign)(v, _int_rows(data, "blocks", "design"))
+    for block in design.blocks if k is not None else ():
+        if len(block) > k:
+            raise StructuralError(f"malformed design file: block {block} larger than k={k}")
     return DesignDocument(design, k, t, lam)
 
 
 def dumps_design(doc: DesignDocument) -> str:
-    return json.dumps(design_to_dict(doc), indent=2) + "\n"
+    return json.dumps(design_to_dict(doc)) + "\n"
 
 
 def loads_design(text: str) -> DesignDocument:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"malformed design file: {exc}") from exc
-    return design_from_dict(data)
+    return design_from_dict(_decode(text, "design"))
 
 
 def save_design(
@@ -140,36 +146,27 @@ def code_to_dict(code: Union[ConstantWeightCode, IndelCode]) -> dict:
 
 
 def code_from_dict(data: object) -> Union[ConstantWeightCode, IndelCode]:
-    if not isinstance(data, dict) or "type" not in data:
-        raise StructuralError("malformed code file: expected an object with a 'type'")
-    kind = data["type"]
+    kind = _fields(data, "code", ("type",))["type"]
     if kind not in ("cw", "indel"):
         raise StructuralError(f"malformed code file: unknown type {kind!r}")
     keys = ("length", "weight" if kind == "cw" else "alphabet", "words")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise StructuralError(f"malformed code file: missing keys {missing}")
+    _fields(data, "code", keys)
     length = _require_int(data, "length", "code")
     size = _require_int(data, keys[1], "code")
-    words = data["words"]
     if kind == "cw":
+        words = data["words"]
         if not isinstance(words, list) or any(
             not isinstance(w, str) or set(w) - {"0", "1"} for w in words
         ):
             raise StructuralError("malformed code file: 'words' must be a list of 0/1 strings")
-        bits = tuple(tuple(int(ch) for ch in word) for word in words)
-        return ConstantWeightCode(length, size, bits)
-    if not isinstance(words, list) or any(
-        not isinstance(w, list) or not all(_is_int(x) for x in w) for w in words
-    ):
-        raise StructuralError("malformed code file: 'words' must be a list of integer lists")
-    symbols = tuple(tuple(w) for w in words)
-    repeats = any(len(set(w)) != len(w) for w in symbols)
-    return IndelCode(size, length, symbols, allow_repeats=repeats)
+        return ConstantWeightCode(length, size, tuple(tuple(map(int, w)) for w in words))
+    words = _int_rows(data, "words", "code")  # IndelCode makes each word a tuple
+    repeats = any(len(set(w)) != len(w) for w in words)
+    return IndelCode(size, length, words, allow_repeats=repeats)
 
 
 def dumps_code(code: Union[ConstantWeightCode, IndelCode]) -> str:
-    return json.dumps(code_to_dict(code), indent=2) + "\n"
+    return json.dumps(code_to_dict(code)) + "\n"
 
 
 def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> None:
@@ -177,8 +174,4 @@ def save_code(path: str | Path, code: Union[ConstantWeightCode, IndelCode]) -> N
 
 
 def load_code(path: str | Path) -> Union[ConstantWeightCode, IndelCode]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"malformed code file: {exc}") from exc
-    return code_from_dict(data)
+    return code_from_dict(_decode(Path(path).read_text(encoding="utf-8"), "code"))

@@ -1,16 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import packings
 from packings import (
     DesignParams,
+    PackingDesign,
     best_upper_bound,
     exact_by_theorems,
     johnson_schonheim,
     pdn_exact,
+    save_design,
 )
 from packings.bounds import VIA_UNDIRECTED, bound_candidates
 from packings.cli import main
@@ -149,6 +153,19 @@ class TestBounds:
         assert "generalized-second-johnson\t\tn/a" in out.splitlines()
         assert out.splitlines()[-1] == "best\t40408\tjohnson-schonheim"
 
+    def test_values_past_4300_digits_print_exactly(self, capsys):
+        # str() of an int refuses past 4,300 digits; the cap here has 8,293
+        js = johnson_schonheim(DesignParams(60000, 30000, 20000, 1)).value
+        argv = ("bounds", "--v", "60000", "--k", "30000", "--t", "20000")
+        code, out, err = run(capsys, *argv, "--tsv")
+        assert code == 0 and err == ""
+        best = out.splitlines()[-1].split("\t")
+        assert best[0] == "best" and best[2] == "johnson-schonheim"
+        assert len(best[1]) > 4300 and Decimal(best[1]) == js
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == f"best: {best[1]} via johnson-schonheim"
+
     def test_large_t3_cell_completes(self, capsys):
         code, out, _ = run(capsys, "bounds", "--v", "1000", "--k", "4", "--t", "3", "--tsv")
         assert code == 0
@@ -205,6 +222,20 @@ class TestDirectVerify:
         assert "check frequency-cap: pass" in out
         assert "check frequency-spread: pass" in out
         assert "check frequency-sum: pass" in out
+
+    def test_verify_prints_witnesses_past_4300_digits(self, capsys, tmp_path):
+        # one block is valid at k = t; its frequency cap C(v-1, t-1) has 11,866 digits
+        v, k = 10**7, 3000
+        src = tmp_path / "one.json"
+        save_design(src, PackingDesign(v, (tuple(range(k)),)), k=k, t=k, lam=1)
+        code, out, err = run(capsys, "verify", "-i", str(src))
+        assert code == 0 and err == ""
+        assert out.startswith("valid: yes\n")
+        line = next(x for x in out.splitlines() if x.startswith("check frequency-cap: pass "))
+        prefix = "check frequency-cap: pass {'point': 0, 'frequency': 1, 'cap': "
+        assert line.startswith(prefix) and line.endswith("}")
+        cap = line[len(prefix):-1]
+        assert len(cap) > 4300 and Decimal(cap) == math.comb(v - 1, k - 1)
 
     def test_verify_invalid_design_exits_one(self, capsys, tmp_path):
         src = tmp_path / "bad.json"

@@ -65,16 +65,21 @@ class TestTypes:
         assert d.blocks == ((1, 2, 3), (0, 4))
 
     def test_point_out_of_range(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^point 4 out of range for v=4$"):
             PackingDesign(4, ((0, 4),))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^point -1 out of range for v=4$"):
             DirectedPackingDesign(4, ((0, -1),))
+        # the first bad point of the first bad block, in canonical order, is named
+        with pytest.raises(StructuralError, match=r"^point 7 out of range for v=4$"):
+            DirectedPackingDesign(4, ((0, 1), (7, 2, 2), (9,)))
 
     def test_duplicate_point_in_block(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^duplicate point 1 in block \(0, 1, 1\)$"):
             PackingDesign(4, ((0, 1, 1),))
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=r"^duplicate point 2 in block \(2, 0, 2\)$"):
             DirectedPackingDesign(4, ((2, 0, 2),))
+        with pytest.raises(StructuralError, match=r"^duplicate point 1 in block \(1, 1, 7\)$"):
+            PackingDesign(4, ((0, 1), (7, 1, 1), (9,)))
 
     def test_directed_order_preserved(self):
         d = DirectedPackingDesign(5, ((3, 1, 2),))

@@ -19,7 +19,10 @@ from packings import (
 from packings.io import (
     DesignDocument,
     code_from_dict,
+    code_to_dict,
     design_from_dict,
+    design_to_dict,
+    dumps_code,
     dumps_design,
     loads_design,
 )
@@ -103,6 +106,23 @@ class TestDesignFiles:
             loads_design(
                 '{"v": 6, "k": 3, "t": 2, "lambda": 1, "directed": 1, "blocks": []}'
             )
+        for point in ("true", "1.5", '"1"', "null"):
+            text = ('{"v": 6, "k": 3, "t": 2, "lambda": 1, "directed": false, '
+                    f'"blocks": [[0, 1], [2, {point}, 3]]}}')
+            with pytest.raises(StructuralError, match="is not an integer"):
+                loads_design(text)
+        with pytest.raises(StructuralError, match="list of integer lists"):
+            loads_design(
+                '{"v": 6, "k": 3, "t": 2, "lambda": 1, "directed": false, "blocks": [[0], 1]}'
+            )
+
+    def test_written_as_one_line_and_read_in_any_layout(self, pack_6_3, directed_6_4):
+        for doc in (DesignDocument(pack_6_3, 3, 2, 1), DesignDocument(directed_6_4, 4, 2, 1)):
+            text = dumps_design(doc)
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert json.loads(text) == design_to_dict(doc)
+            assert loads_design(text) == doc
+            assert loads_design(json.dumps(json.loads(text), indent=2)) == doc
 
     def test_nonpositive_t_or_lambda(self):
         for t, lam in [(0, 1), (2, 0), (-1, 1), (2, -3)]:
@@ -154,6 +174,16 @@ class TestCodeFiles:
         back = load_code(path)
         assert back.allow_repeats and back.words == code.words
 
+    def test_written_as_one_line(self, pack_6_3, directed_6_4):
+        for code in (
+            to_constant_weight(pack_6_3, DesignParams(6, 3, 2, 1)),
+            to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1)),
+        ):
+            text = dumps_code(code)
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert json.loads(text) == code_to_dict(code)
+            assert code_from_dict(json.loads(text)) == code
+
     def test_unknown_type(self, tmp_path):
         path = tmp_path / "code.json"
         path.write_text('{"type": "mystery", "words": []}')
@@ -176,6 +206,7 @@ class TestCodeFiles:
             {"type": "indel", "length": 2, "alphabet": 3, "words": 5},
             {"type": "indel", "length": 2, "alphabet": 3, "words": [5]},
             {"type": "indel", "length": 2, "alphabet": 3, "words": [[0, "1"]]},
+            {"type": "indel", "length": 2, "alphabet": 3, "words": [[0, True]]},
             {"type": "indel", "length": "2", "alphabet": 3, "words": [[0, 1]]},
             {"type": "indel", "length": 2, "alphabet": 3.0, "words": [[0, 1]]},
         ):

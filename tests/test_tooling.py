@@ -1,10 +1,12 @@
 """Repository rules that are checked on the source itself."""
 
 import ast
+import shlex
 from inspect import ismodule
 from pathlib import Path
 
 import packings
+from packings.cli import main
 
 
 def test_no_assert_statements_in_the_package():
@@ -37,3 +39,15 @@ def test_public_api_is_pinned():
         "DesignDocument", "load_code", "load_design", "save_code", "save_design",
         "SearchConfig", "SearchResult", "certify_optimal", "dpdn_exact", "pdn_exact",
     }
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every `packings ...` line of the README's CLI block, in order, in one directory
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("packings ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert main(argv) == 0, (command, capsys.readouterr().err)
