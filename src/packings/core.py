@@ -8,11 +8,12 @@ types are immutable after construction and every operation here is pure.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, compress, islice
 from typing import Iterable, Sequence, Union
 
 
@@ -306,6 +307,30 @@ def require_valid(design: Design, params: DesignParams, *, uniform: bool = False
         )
 
 
+def _most_frequent(r: Counter, levels: Counter, t: int, v: int) -> list[int]:
+    """The t points of r by falling frequency, ties to the least point.
+
+    This is ``sorted(r, key=lambda x: (-r[x], x))[:t]``, padded, when r holds
+    fewer than t points, with the least points of range(v) absent from it.
+    levels is Counter(r.values()).  The frequency levels are walked down to
+    the one that holds the t-th point; only the fewer than t points above it
+    are sorted, and the least points of that level are picked by value, so no
+    Python call is made per point.
+    """
+    above = 0
+    for f in sorted(levels, reverse=True):
+        if above + levels[f] >= t:
+            break
+        above += levels[f]
+    else:
+        f = 0  # fewer than t points occur: the absent points, at frequency 0, pad
+    top = sorted(compress(r, map(f.__lt__, r.values())))
+    top.sort(key=r.__getitem__, reverse=True)  # stable, so ties stay ascending
+    if f == 0:
+        return top + list(islice((x for x in range(v) if x not in r), t - above))
+    return top + heapq.nsmallest(t - above, compress(r, map(f.__eq__, r.values())))
+
+
 def structural_diagnostics(
     design: PackingDesign, params: DesignParams
 ) -> tuple[tuple[str, bool, object], ...]:
@@ -319,18 +344,16 @@ def structural_diagnostics(
     _check_sizes(design, params, uniform=True)
     v, k, t, lam = params.v, params.k, params.t, params.lam
     # only the points that occur are counted, so memory does not grow with v
-    r = Counter(x for block in design.blocks for x in block)
+    r = Counter(chain.from_iterable(design.blocks))
+    levels = Counter(r.values())
     n = len(design.blocks)
 
-    by_freq = sorted(r, key=lambda x: (-r[x], x))[:t]
-    if len(by_freq) < t:  # only an empty design: pad with the least absent points
-        absent = (x for x in range(v) if x not in r)
-        by_freq += islice(absent, t - len(by_freq))
+    by_freq = _most_frequent(r, levels, t, v)
     worst_x = by_freq[0]
     r_cap = lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
     freq_ok = r[worst_x] <= r_cap
 
-    spread_lhs = sum(choose(i, lam + 1) * cnt for i, cnt in Counter(r.values()).items())
+    spread_lhs = sum(choose(i, lam + 1) * cnt for i, cnt in levels.items())
     spread_rhs = (t - 1) * choose(n, lam + 1)
 
     freq_sum = sum(r[x] for x in by_freq)

@@ -10,6 +10,14 @@ t-tuples in the directed case).  The unit counts of the chosen blocks are
 held as saturating bitplanes, so a candidate is admissible when its mask
 misses the top plane, and a node costs a few integer operations.
 
+The pool is the root (0, ..., k-1) plus the candidates it admits, built by
+prefix shifts: a t-set is numbered by its colex rank sum C(ai, i), an ordered
+t-tuple by sum ai * v**(i-1), so appending a point to a prefix shifts the
+units of the prefix's shorter subsequences into place.  At lam = 1 every
+prefix that meets the root's units is cut with its subtree.  POOL_LIMIT and
+MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything is
+built.
+
 The search has no bounding prune, because the counting prunes never cut
 below the cap.  Write lam for the multiplicity of the unordered shadow (t!
 times the directed multiplicity) and JS for the Johnson-Schonheim bound
@@ -27,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .bounds import best_upper_bound
@@ -41,10 +48,12 @@ from .core import (
 
 OPTIMAL = "optimal"
 BUDGET_EXHAUSTED = "budget-exhausted lower bound"
-# Largest candidate pool (k-subsets, or ordered k-tuples) a search builds.
+# Largest candidate pool (all k-subsets, or all ordered k-tuples) a search
+# takes on, however few of them the root admits.
 POOL_LIMIT = 200_000
-# Largest mask table, pool size times unit count, in bits.  It also bounds
-# the unit table and the C(k,t) unit lookups per candidate.
+# Largest mask table, full pool size times unit count, in bits.  The prefix
+# walk holds one level at a time, at most one prefix per candidate, so this
+# bounds it too.
 MASK_BITS_LIMIT = 100_000_000
 
 
@@ -138,19 +147,69 @@ def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
     return count, f"{count:,}"
 
 
+def _pool(
+    v: int, k: int, t: int, lam: int, directed: bool
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The search root (0, ..., k-1), then, in order, the candidates it leaves admissible.
+
+    Grows the prefixes of the k-subsets (or ordered k-tuples) one point at a
+    time, each level in lexicographic order.  A t-set a1 < ... < at is unit
+    sum C(ai, i), its colex rank; an ordered t-tuple is unit sum
+    ai * v**(i-1), so the directed masks span v**t bits, a factor v/(v-1)
+    above P(v, 2) at t = 2.  With units[j] the units of a prefix's j-point
+    subsequences (units[0] = 1, the empty one), appending x sets
+    units[j] |= units[j-1] << shift[j][x].  At lam = 1 the root's child level
+    holds only candidates that miss the root's units, and every later node
+    lies in it, so a prefix that meets them is cut with all its extensions;
+    at larger lam nothing is cut.  Returns the candidates and their masks.
+    """
+    if directed:
+        shift = [[x * v ** (j - 1) for x in range(v)] for j in range(t + 1)]
+    else:
+        shift = [[math.comb(x, j) for x in range(v)] for j in range(t + 1)]
+    empty = (1,) + (0,) * t
+    root = empty
+    for x in range(k):
+        root = (1, *[root[j] | root[j - 1] << shift[j][x] for j in range(1, t + 1)])
+    taboo = root[t] if lam == 1 else 0
+    level = [((), empty)]
+    for depth in range(k - 1):
+        stop = v if directed else v - k + depth + 1
+        grown_level = []
+        for prefix, units in level:
+            for x in range(0 if directed or not prefix else prefix[-1] + 1, stop):
+                if directed and x in prefix:
+                    continue
+                grown = (1, *[units[j] | units[j - 1] << shift[j][x] for j in range(1, t + 1)])
+                if not grown[t] & taboo:
+                    grown_level.append(((*prefix, x), grown))
+        level = grown_level
+    # the last point: only the top level of units is needed
+    cands, masks = ([tuple(range(k))], [taboo]) if lam == 1 else ([], [])
+    last = shift[t]
+    for prefix, units in level:
+        top, below = units[t], units[t - 1]
+        for x in range(0 if directed or not prefix else prefix[-1] + 1, v):
+            if directed and x in prefix:
+                continue
+            mask = top | below << last[x]
+            if not mask & taboo:
+                cands.append((*prefix, x))
+                masks.append(mask)
+    return cands, masks
+
+
 def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
     """The shared search: one mask per candidate block, capped by the classical bounds."""
     v, k, t, lam = params.v, params.k, params.t, params.lam
-    arrange, what = (permutations, "ordered blocks") if directed else (combinations, "blocks")
+    what = "ordered blocks" if directed else "blocks"
     (pool, pool_text), (n_units, units_text) = _count(v, k, directed), _count(v, t, directed)
     if pool > POOL_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} exceeds the limit of {POOL_LIMIT:,}")
     if pool * n_units > MASK_BITS_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
                          f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
-    cands = list(arrange(range(v), k))
-    unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
-    masks = [sum(map(unit.__getitem__, combinations(c, t))) for c in cands]
+    cands, masks = _pool(v, k, t, lam, directed)
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
     best_n, best, certificate, nodes = _search(masks, lam, cap, config or SearchConfig())
     design = DirectedPackingDesign if directed else PackingDesign
@@ -175,10 +234,10 @@ def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResu
 
     Searches ordered k-tuples in lexicographic order while tracking ordered
     pairs (each usable once); the classical bounds of the unordered shadow
-    at multiplicity two cap the search.  The candidate pool has v!/(v-k)!
-    tuples; above POOL_LIMIT (200,000, so v = 12 at k = 6 is out), or with
-    a mask table above MASK_BITS_LIMIT bits, it raises ValueError before
-    anything is allocated.
+    at multiplicity two cap the search.  The full candidate pool has
+    v!/(v-k)! tuples; above POOL_LIMIT (200,000, so v = 12 at k = 6 is
+    out), or with a mask table above MASK_BITS_LIMIT bits, it raises
+    ValueError before anything is allocated.
     """
     if not v >= k >= 2:
         raise ValueError(f"require v >= k >= 2, got v={v} k={k}")

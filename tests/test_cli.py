@@ -279,6 +279,14 @@ class TestSolve:
         assert code == 0
         assert out.strip() == "DPDN = 4 (optimal)"
 
+    def test_directed_largest_oracle_cell(self, capsys):
+        code, out, err = run(capsys, "solve", "--v", "9", "--k", "6", "--directed")
+        assert (code, out, err) == (0, "DPDN = 3 (optimal)\n", "")
+
+    def test_directed_budget_exit(self, capsys):
+        code, out, err = run(capsys, "solve", "--v", "10", "--k", "6", "--directed", "--budget", "5000")
+        assert (code, out, err) == (3, "DPDN = 4 (budget-exhausted lower bound)\n", "")
+
     def test_budget_exit(self, capsys):
         code, out, _ = run(capsys, "solve", "--v", "9", "--k", "3", "--budget", "5")
         assert code == 3

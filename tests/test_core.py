@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -389,6 +390,21 @@ class TestStructuralDiagnostics:
         )}
         assert checks["frequency-cap"]["point"] == 0
         assert checks["frequency-sum"]["points"] == (0, 1)
+
+    def test_most_frequent_matches_the_sort(self):
+        # the level walk picks the points the frequency sort picks, in its order,
+        # padded with the least absent points when too few occur
+        def by_sort(r, t, v):
+            picked = sorted(r, key=lambda x: (-r[x], x))[:t]
+            return picked + [x for x in range(v) if x not in r][: t - len(picked)]
+
+        rng = random.Random(13)
+        for _ in range(3000):
+            v = rng.randint(1, 30)
+            top = rng.choice((1, 2, 3, 10))
+            r = Counter({x: rng.randint(1, top) for x in rng.sample(range(v), rng.randint(0, v))})
+            t = rng.randint(1, v)
+            assert core._most_frequent(r, Counter(r.values()), t, v) == by_sort(r, t, v), (r, t, v)
 
     def test_memory_does_not_grow_with_v(self):
         v = 200_000

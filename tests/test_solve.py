@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -18,7 +19,7 @@ from packings import (
     validate_packing,
 )
 from packings.core import choose
-from packings.solve import BUDGET_EXHAUSTED, MASK_BITS_LIMIT, OPTIMAL, POOL_LIMIT
+from packings.solve import BUDGET_EXHAUSTED, MASK_BITS_LIMIT, OPTIMAL, POOL_LIMIT, _pool
 
 
 def brute_pdn(v, k, t, lam):
@@ -284,6 +285,61 @@ class TestSearchEngine:
     def test_largest_benchmarked_pool_is_admitted(self):
         result = dpdn_exact(9, 6)
         assert (result.n, result.certificate) == (3, OPTIMAL)
+
+
+def admitted_by_filter(v, k, t, lam, directed):
+    """The root and the candidates it admits, by filtering every candidate outright."""
+    arrange = permutations if directed else combinations
+    cands = list(arrange(range(v), k))
+    root_units = set(combinations(cands[0], t))
+    if lam > 1:
+        return cands
+    return cands[:1] + [c for c in cands if root_units.isdisjoint(combinations(c, t))]
+
+
+def columns(masks):
+    """Each unit as the set of candidates covering it, counted over the units."""
+    units = {}
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            units.setdefault(low, set()).add(i)
+            mask ^= low
+    return Counter(frozenset(c) for c in units.values())
+
+
+class TestPool:
+    """The prefix walk builds what filtering the whole pool would keep."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_a_filter_of_every_candidate(self, directed):
+        cells = 0
+        for t in (1, 2, 3):
+            for lam in (1, 2, 3):
+                for k in range(t, 9):
+                    for v in range(k, 9):
+                        cands, masks = _pool(v, k, t, lam, directed)
+                        assert cands == admitted_by_filter(v, k, t, lam, directed), (v, k, t, lam)
+                        assert len(masks) == len(cands)
+                        cells += 1
+        assert cells == 255
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_masks_equal_the_unit_table_up_to_relabelling(self, directed):
+        # the masks a dictionary of all units gives, with the same candidates covering each unit
+        arrange = permutations if directed else combinations
+        for t in (1, 2, 3):
+            for lam in (1, 2):
+                for k in range(t, 7):
+                    for v in range(k, 8):
+                        cands, masks = _pool(v, k, t, lam, directed)
+                        unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
+                        table = [sum(unit[s] for s in combinations(c, t)) for c in cands]
+                        assert columns(masks) == columns(table), (v, k, t, lam)
+
+    def test_largest_oracle_pool(self):
+        cands, _ = _pool(9, 6, 2, 1, True)
+        assert len(cands) == len(admitted_by_filter(9, 6, 2, 1, True)) == 3860
 
 
 class TestPdnExact:
