@@ -27,7 +27,6 @@ from .codes import (
     to_indel_code,
 )
 from .construct import (
-    ConstructionLayout,
     balanced_packing,
     construct_optimal,
     general_construction,

@@ -262,16 +262,15 @@ def horsley_bound_2(v: int, k: int, lam: int = 1) -> BoundReport:
         # one block always exists, so a sub-case claiming less than one
         # (possible when r = lam) is degenerate rather than a bound
         values[name] = val if val >= 1 else None
-    weights = {name: (alpha, beta) for name, (alpha, beta) in cases.items()}
     usable = [val for val in values.values() if val is not None]
     if not usable:
         return BoundReport(
             None,
             HORSLEY_2,
-            {"r": r, "d": d, "cases": values, "weights": weights, "reason": "no sub-case applies"},
+            {"r": r, "d": d, "cases": values, "weights": cases, "reason": "no sub-case applies"},
         )
     return BoundReport(
-        min(usable), HORSLEY_2, {"r": r, "d": d, "cases": values, "weights": weights}
+        min(usable), HORSLEY_2, {"r": r, "d": d, "cases": values, "weights": cases}
     )
 
 
@@ -292,13 +291,14 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
     (t-1)C(ell,lam) > k, whose upper edge is a rational number compared
     exactly.  As e(n+1) - e(n) = k - (t-1)C(n,lam), e does not decrease on
     1..ell, so that n is one less than the first count there with
-    e(n) > lam*v, found by ``_first_true``, and it lies below ell.
+    e(n) > lam*v, found by ``_first_true``, and it lies below ell.  The
+    search starts at lam + 1 <= ell: for n <= lam, e(n) = nk <= lam*v.
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     if t < 2:
         raise ValueError(f"require t >= 2, got t={t}")
     ell = _least_ell(k, t, lam)
-    n = _first_true(lambda n: _window_edge(n, k, t, lam) > lam * v, 1, ell + 1) - 1
+    n = _first_true(lambda n: _window_edge(n, k, t, lam) > lam * v, lam + 1, ell + 1) - 1
     if 1 <= n < ell:
         lo, hi = _window_edge(n, k, t, lam), _window_edge(n + 1, k, t, lam)
         if not lo <= lam * v < hi:

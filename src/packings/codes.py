@@ -9,8 +9,9 @@ share no ordered t-subsequence.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import (
     DesignParams,
@@ -157,11 +158,9 @@ def deletion_channel_check(code: IndelCode, s: int) -> bool:
     keep = k - s
     via_lcs = max_pairwise_lcs(code) <= keep - 1
     if k <= 8:
-        residues = [_residues(w, keep) for w in code.words]
-        via_enum = all(
-            not (residues[i] & residues[j])
-            for i, j in combinations(range(len(residues)), 2)
-        )
+        # each word counts a residue once, so a count of two is a shared residue
+        counts = Counter(chain.from_iterable(_residues(w, keep) for w in code.words))
+        via_enum = max(counts.values()) <= 1
         if via_enum != via_lcs:
             raise RuntimeError(
                 f"LCS test ({via_lcs}) and residue enumeration ({via_enum}) disagree "

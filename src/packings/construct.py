@@ -9,29 +9,13 @@ counting bound exactly in the window regime, which is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .bounds import BoundReport, NotApplicableError, exact_by_theorems
+from .bounds import BoundReport, NotApplicableError, _window_edge, exact_by_theorems
 from .core import DesignParams, PackingDesign, choose
 
 # Largest design general_construction builds, in block entries n*k and in points v.
 CONSTRUCT_POINTS_LIMIT = 100_000_000
-
-
-@dataclass(frozen=True)
-class ConstructionLayout:
-    """Which point plays which role in general_construction.
-
-    ``u_points`` maps (block-index subset S, copy j) to the shared point that
-    lies exactly in the blocks indexed by S; ``w_points`` lists the remaining
-    points, which carry the inner packing.  Block indices and copy indices are
-    0-based; ``inner_blocks`` holds global point ids.
-    """
-
-    u_points: dict[tuple[tuple[int, ...], int], int]
-    w_points: tuple[int, ...]
-    inner_blocks: tuple[tuple[int, ...], ...]
 
 
 def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
@@ -49,13 +33,14 @@ def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
     return PackingDesign(v, blocks)
 
 
-def general_construction(
-    n: int, v: int, k: int, t: int, lam: int
-) -> tuple[PackingDesign, ConstructionLayout]:
+def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDesign:
     """A packing with n blocks of size k in which every frequency is at most lam+1.
 
-    Point numbering: shared points first, in lexicographic order of
-    (index subset, copy), then the inner-packing points.  Requires
+    Each (lam+1)-subset S of the block indices, in lexicographic order, gets
+    t-1 shared points that lie in exactly the blocks of S: the u-th subset
+    holds points u*(t-1), ..., u*(t-1) + t-2.  The remaining points carry a
+    balanced inner packing, so block i ends with the i-th inner block shifted
+    past the shared points; every block comes out sorted.  Requires
     k >= (t-1)*C(n-1, lam) and lam*v >= n*k - (t-1)*C(n, lam+1); violations
     raise with the failed inequality spelled out.  A design with more than
     CONSTRUCT_POINTS_LIMIT block entries or points is refused before anything
@@ -70,7 +55,7 @@ def general_construction(
         raise ValueError(
             f"hypotheses not met: k >= (t-1)*C(n-1,lam) fails ({k} < {need_k})"
         )
-    floor_edge = n * k - (t - 1) * choose(n, lam + 1)
+    floor_edge = _window_edge(n, k, t, lam)
     if lam * v < floor_edge:
         raise ValueError(
             f"hypotheses not met: lam*v >= n*k - (t-1)*C(n,lam+1) fails ({lam * v} < {floor_edge})"
@@ -81,47 +66,29 @@ def general_construction(
 
     if n <= lam:
         # any n blocks will do: no t-subset can exceed multiplicity n <= lam
-        block = tuple(range(k))
-        blocks = tuple(block for _ in range(n))
-        layout = ConstructionLayout({}, tuple(range(v)), blocks)
-        return PackingDesign(v, blocks), layout
+        return PackingDesign(v, (tuple(range(k)),) * n)
 
-    subsets = list(combinations(range(n), lam + 1))
-    u_points: dict[tuple[tuple[int, ...], int], int] = {}
-    next_id = 0
-    for s in subsets:
-        for j in range(t - 1):
-            u_points[(s, j)] = next_id
-            next_id += 1
-    w_points = tuple(range(next_id, v))
+    blocks: list[list[int]] = [[] for _ in range(n)]
+    shared = 0
+    for subset in combinations(range(n), lam + 1):
+        for i in subset:
+            blocks[i].extend(range(shared, shared + t - 1))
+        shared += t - 1
 
     inner_k = k - need_k
     if inner_k:
-        # the hypotheses force n*inner_k <= lam*|W|, so the balanced inner
-        # packing stays within multiplicity lam; only its frequency property
-        # matters here, so the tuple size is immaterial (blocks may be
-        # smaller than t)
-        inner = balanced_packing(n, len(w_points), inner_k, 1)
-        if -(-n * inner_k // len(w_points)) > lam:
+        # the hypotheses force n*inner_k <= lam*(v - shared), so the balanced
+        # inner packing stays within multiplicity lam; only its frequency
+        # property matters here, so the tuple size is immaterial (blocks may
+        # be smaller than t)
+        inner = balanced_packing(n, v - shared, inner_k, 1)
+        if -(-n * inner_k // (v - shared)) > lam:
             raise RuntimeError(
                 f"inner packing exceeds multiplicity {lam} at n={n} v={v} k={k} t={t}"
             )
-        inner_blocks = tuple(
-            tuple(w_points[x] for x in block) for block in inner.blocks
-        )
-    else:
-        inner_blocks = ((),) * n
-
-    blocks = []
-    for i in range(n):
-        members = [
-            u_points[(s, j)] for s in subsets if i in s for j in range(t - 1)
-        ]
-        members.extend(inner_blocks[i])
-        blocks.append(tuple(sorted(members)))
-    design = PackingDesign(v, tuple(blocks))
-    layout = ConstructionLayout(u_points, w_points, inner_blocks)
-    return design, layout
+        for block, extra in zip(blocks, inner.blocks):
+            block.extend(x + shared for x in extra)
+    return PackingDesign(v, tuple(map(tuple, blocks)))
 
 
 def construct_optimal(params: DesignParams) -> tuple[PackingDesign, BoundReport]:
@@ -129,7 +96,5 @@ def construct_optimal(params: DesignParams) -> tuple[PackingDesign, BoundReport]
     report = exact_by_theorems(params)
     if report.value is None:
         raise NotApplicableError(f"no exact window covers {params}")
-    design, _ = general_construction(
-        report.value, params.v, params.k, params.t, params.lam
-    )
+    design = general_construction(report.value, params.v, params.k, params.t, params.lam)
     return design, report

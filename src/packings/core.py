@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -193,7 +194,7 @@ def _intersection_worst(
     pos = [{x: i for i, x in enumerate(block)} for block in blocks]
     if any(len(p) != len(block) for p, block in zip(pos, blocks)):
         return None
-    ordered = any(a > b for block in blocks for a, b in zip(block, block[1:]))
+    ordered = any(any(map(operator.gt, block, block[1:])) for block in blocks)
     n = len(blocks)
     level = [
         ((i,), list(block), range(len(block), 0, -1))

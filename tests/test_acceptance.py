@@ -191,7 +191,7 @@ def test_criterion_6_directed_window_realized():
                 continue
             cells += 1
             n = theorem.value
-            design, _ = general_construction(n, v, k, 2, 2)
+            design = general_construction(n, v, k, 2, 2)
             directed = direct_packing(design)
             good = (
                 len(directed.blocks) == n

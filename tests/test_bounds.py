@@ -29,9 +29,11 @@ from packings.bounds import (
     _first_true,
     _least_ell,
     _passing_horizon,
+    _window_edge,
     least_bound,
     sj_quadratic_feasible,
 )
+from packings import bounds
 from packings.core import choose
 
 from conftest import linear_exact_by_theorems, linear_first_infeasible
@@ -374,6 +376,21 @@ class TestExactByTheorems:
         assert _least_ell(10**19, 2, 1) == 10**19 + 1
         rep = exact_by_theorems(DesignParams(2 * 10**19, 10**19, 2, 1))
         assert (rep.value, rep.provenance) == (2, EXACT_WINDOW)
+
+    def test_n_search_starts_past_lam(self, monkeypatch):
+        # e(n) = nk <= lam*v for every n <= lam, so the n search begins at
+        # lam + 1 and a huge lam costs O(log k) window edges, not O(log lam)
+        calls = []
+
+        def counted_edge(*args):
+            calls.append(args)
+            return _window_edge(*args)
+
+        monkeypatch.setattr(bounds, "_window_edge", counted_edge)
+        k = 30000
+        rep = exact_by_theorems(DesignParams(2 * k, k, 2, math.factorial(1000)))
+        assert (rep.value, rep.detail["reason"]) == (None, "outside both windows")
+        assert 0 < len(calls) <= 2 * k.bit_length()
 
     def test_threshold_window_shape(self):
         # the boundary window never inverts for k <= 40, t <= 4, lam <= 3, and

@@ -52,12 +52,25 @@ class TestBalancedPacking:
                         assert set(freqs) == {0}
 
 
+def _holders(design):
+    """The indices of the blocks holding each point."""
+    held = [[] for _ in range(design.v)]
+    for i, block in enumerate(design.blocks):
+        for x in block:
+            held[x].append(i)
+    return [tuple(h) for h in held]
+
+
+def _shared_points(n, t, lam):
+    """(point, subset) for the shared points, which come first in subset order."""
+    subsets = combinations(range(n), lam + 1)
+    return [(u * (t - 1) + j, s) for u, s in enumerate(subsets) for j in range(t - 1)]
+
+
 class TestGeneralConstruction:
     def test_fourteen_point_design(self):
-        design, layout = general_construction(4, 14, 5, 2, 1)
+        design = general_construction(4, 14, 5, 2, 1)
         # 6 shared points (one per block pair), 8 carried by the inner packing
-        assert len(layout.u_points) == 6
-        assert layout.w_points == tuple(range(6, 14))
         assert design.blocks == (
             (0, 1, 2, 6, 7),
             (0, 3, 4, 8, 9),
@@ -71,7 +84,7 @@ class TestGeneralConstruction:
         # 4 blocks of 5 on 14 points hold 20 entries; (2, 9, 2, 2, 1) keeps
         # n*k = 4 but has v = 9 points
         monkeypatch.setattr(construct, "CONSTRUCT_POINTS_LIMIT", 20)
-        assert len(general_construction(4, 14, 5, 2, 1)[0].blocks) == 4
+        assert len(general_construction(4, 14, 5, 2, 1).blocks) == 4
         monkeypatch.setattr(construct, "CONSTRUCT_POINTS_LIMIT", 19)
         with pytest.raises(ValueError, match="exceeds the limit of 19 points"):
             general_construction(4, 14, 5, 2, 1)
@@ -80,14 +93,13 @@ class TestGeneralConstruction:
             general_construction(2, 9, 2, 2, 1)
 
     def test_six_point_design_has_no_inner_points(self):
-        design, layout = general_construction(4, 6, 3, 2, 1)
-        assert layout.w_points == ()
+        design = general_construction(4, 6, 3, 2, 1)
         assert design.blocks == ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+        assert _holders(design) == [s for _, s in _shared_points(4, 2, 1)]
 
     def test_trivial_branch(self):
-        design, layout = general_construction(2, 6, 3, 2, 5)
+        design = general_construction(2, 6, 3, 2, 5)
         assert design.blocks == ((0, 1, 2), (0, 1, 2))
-        assert layout.u_points == {}
 
     def test_hypothesis_violations_named(self):
         with pytest.raises(ValueError, match=r"k >= \(t-1\)\*C\(n-1,lam\)"):
@@ -96,24 +108,26 @@ class TestGeneralConstruction:
             general_construction(4, 6, 5, 2, 1)
 
     def test_layout_sizes_and_disjointness(self):
+        # point u*(t-1)+j lies in exactly the u-th (lam+1)-subset of blocks,
+        # and every later point in at most lam blocks
         for n, v, k, t, lam in [(4, 14, 5, 2, 1), (4, 12, 7, 2, 2), (5, 25, 9, 3, 1)]:
-            design, layout = general_construction(n, v, k, t, lam)
-            assert len(layout.u_points) == (t - 1) * choose(n, lam + 1)
-            assert len(layout.w_points) == v - len(layout.u_points)
-            assert set(layout.u_points.values()).isdisjoint(layout.w_points)
+            held = _holders(general_construction(n, v, k, t, lam))
+            shared = _shared_points(n, t, lam)
+            assert len(shared) == (t - 1) * choose(n, lam + 1)
+            assert all(held[point] == subset for point, subset in shared)
+            assert all(len(h) <= lam for h in held[len(shared):])
 
     def test_shared_points_hit_max_frequency(self):
-        design, layout = general_construction(4, 12, 7, 2, 2)
+        design = general_construction(4, 12, 7, 2, 2)
         freqs = point_frequencies(design)
-        for (_, _), point in layout.u_points.items():
+        for point, _ in _shared_points(4, 2, 2):
             assert freqs[point] == 3  # lam + 1
 
     def test_shared_point_co_occurrence(self):
         # points for distinct index subsets meet in exactly |S & S'| blocks
-        design, layout = general_construction(4, 14, 5, 2, 1)
+        design = general_construction(4, 14, 5, 2, 1)
         member = [set(b) for b in design.blocks]
-        items = list(layout.u_points.items())
-        for ((s1, _), p1), ((s2, _), p2) in combinations(items, 2):
+        for (p1, s1), (p2, s2) in combinations(_shared_points(4, 2, 1), 2):
             if s1 == s2:
                 continue
             together = sum(1 for m in member if p1 in m and p2 in m)
@@ -129,7 +143,7 @@ class TestGeneralConstruction:
                             continue
                         floor_edge = n * k - (t - 1) * choose(n, lam + 1)
                         v = max(k, -(-floor_edge // lam), 1)
-                        design, _ = general_construction(n, v, k, t, lam)
+                        design = general_construction(n, v, k, t, lam)
                         assert len(design.blocks) == n
                         assert all(len(b) == k for b in design.blocks)
                         assert validate_packing(design, DesignParams(v, k, t, lam)).valid

@@ -154,7 +154,7 @@ class TestComposesWithConstruction:
 
         n = exact_dpdn_by_theorem(v, k).value
         assert n is not None
-        design, _ = general_construction(n, v, k, 2, 2)
+        design = general_construction(n, v, k, 2, 2)
         assert max(point_frequencies(design)) <= 3
         assert validate_packing(design, DesignParams(v, k, 2, 2)).valid
         out = direct_packing(design)

@@ -31,7 +31,7 @@ def test_public_api_is_pinned():
         "ConstantWeightCode", "IndelCode", "add_constant_words", "deletion_channel_check",
         "lcs_length", "max_pairwise_lcs", "min_hamming_distance", "to_constant_weight",
         "to_indel_code",
-        "ConstructionLayout", "balanced_packing", "construct_optimal", "general_construction",
+        "balanced_packing", "construct_optimal", "general_construction",
         "DesignParams", "DirectedPackingDesign", "PackingDesign", "StructuralError",
         "ValidationReport", "is_subsequence", "structural_diagnostics", "underlying_design",
         "validate_directed", "validate_packing",
