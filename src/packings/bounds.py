@@ -196,8 +196,14 @@ def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
     The detail holds the first failing d with its q and r, or, when no d up
     to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
     """
+    return _convexity_walk(params, johnson_schonheim(params).value)
+
+
+def _convexity_walk(params: DesignParams, cap: int) -> BoundReport:
+    """``gen_second_johnson_bound`` given its Johnson-Schonheim cap, so that a
+    caller holding the cap does not compute its nested floor again."""
     v, k, t, lam = params.v, params.k, params.t, params.lam
-    last = johnson_schonheim(params).value + 1
+    last = cap + 1
     stop = min(_passing_horizon(params, last), _bernoulli_horizon(params, last)) - 1
     start = 0
     while start <= stop:
@@ -364,10 +370,11 @@ def bound_candidates(
             detail = {"underlying": rep.provenance, "shadow_lam": shadow.lam, "detail": rep.detail}
             out.append(BoundReport(rep.value, VIA_UNDIRECTED, detail))
         return out
-    out = [johnson_schonheim(params)]
+    js = johnson_schonheim(params)
+    out = [js]
     if t == 2:
         out.append(hanani_b(v, k, lam))
-    convexity = gen_second_johnson_bound(params)
+    convexity = _convexity_walk(params, js.value)
     out.append(convexity)
     if lam == 1 and t >= 2:
         out.append(_as_second_johnson(convexity, params))

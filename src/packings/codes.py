@@ -9,9 +9,10 @@ share no ordered t-subsequence.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 from .core import (
     DesignParams,
@@ -25,19 +26,51 @@ from .core import (
 CW_BITS_LIMIT = 100_000_000
 
 
+def _shared_matches(words) -> Iterator[list[int]]:
+    """The Hunt-Szymanski match list of every pair of words that share a symbol.
+
+    An occurrence index lists, per symbol, its (word j, position q) entries
+    for the words after the current word i, by decreasing j and, within a
+    word, decreasing q.  Walking word i in order and appending each such q
+    to the list of pair (i, j) gives that pair's matches: by position in
+    word i, and by decreasing position in word j within one symbol.  A
+    common subsequence is then exactly a strictly increasing subsequence of
+    the list, and the list's length counts the symbol pairs the two words
+    share.  Pairs that share nothing get no list.  The work is O(total
+    symbols + total matches); memory holds the index and the lists of one i.
+    """
+    later: dict[object, list[tuple[int, int]]] = {}
+    for i in reversed(range(len(words))):
+        word = words[i]
+        lists: defaultdict[int, list[int]] = defaultdict(list)
+        for x in word:
+            for j, q in later.get(x, ()):
+                lists[j].append(q)
+        yield from lists.values()
+        for q in reversed(range(len(word))):
+            later.setdefault(word[q], []).append((i, q))
+
+
+def _max_lcs(words) -> int:
+    """Largest LCS length over all pairs of words, 0 when no pair shares a symbol.
+
+    A pair's LCS is at most its number of matches, so a pair whose match
+    list is no longer than the best LCS so far is skipped.
+    """
+    best = 0
+    for matches in _shared_matches(words):
+        if len(matches) > best:
+            best = max(best, max(_lis_heights(matches)))
+    return best
+
+
 def lcs_length(a, b) -> int:
     """Length of the longest common subsequence (Hunt-Szymanski).
 
-    Each symbol of ``b`` is replaced by its positions in ``a``, listed in
-    decreasing order; a common subsequence is then exactly a strictly
-    increasing subsequence of the result.  With r matching pairs this costs
-    O(r log k), so O(k log k) when either word repeats no symbol.
+    The two-word case of ``_max_lcs``: with r matching symbol pairs this
+    costs O(r log k), so O(k log k) when either word repeats no symbol.
     """
-    where: dict[object, list[int]] = {}
-    for i, x in enumerate(a):
-        where.setdefault(x, []).append(i)
-    matches = (i for y in b for i in reversed(where.get(y, ())))
-    return max(_lis_heights(matches), default=0)
+    return _max_lcs((a, b))
 
 
 @dataclass(frozen=True)
@@ -109,12 +142,17 @@ def to_constant_weight(design: PackingDesign, params: DesignParams) -> ConstantW
 
 
 def min_hamming_distance(code: ConstantWeightCode) -> int:
-    """Exact minimum Hamming distance over all pairs of words."""
+    """Exact minimum Hamming distance over all pairs of words.
+
+    Two words of weight w whose supports share s positions differ in
+    2(w - s) places, so the distance is 2(w - largest support overlap).  A
+    pair's overlap is the length of its match list over the supports.
+    """
     if len(code.words) < 2:
         raise ValueError("minimum distance undefined for fewer than two words")
-    return min(
-        sum(x != y for x, y in zip(a, b)) for a, b in combinations(code.words, 2)
-    )
+    supports = [list(compress(range(code.length), w)) for w in code.words]
+    overlap = max(map(len, _shared_matches(supports)), default=0)
+    return 2 * (code.weight - overlap)
 
 
 def to_indel_code(design: DirectedPackingDesign, params: DesignParams) -> IndelCode:
@@ -130,10 +168,15 @@ def to_indel_code(design: DirectedPackingDesign, params: DesignParams) -> IndelC
 
 
 def max_pairwise_lcs(code: IndelCode) -> int:
-    """Exact maximum LCS length over all pairs of distinct words."""
+    """Exact maximum LCS length over all pairs of distinct words.
+
+    One all-pairs Hunt-Szymanski pass (``_max_lcs``): only pairs that share
+    a symbol are compared.  Their match lists cost O(total symbols + total
+    matches), and each pair searched adds O(r log k) for its r matches.
+    """
     if len(code.words) < 2:
         raise ValueError("pairwise LCS undefined for fewer than two words")
-    return max(lcs_length(a, b) for a, b in combinations(code.words, 2))
+    return _max_lcs(code.words)
 
 
 def _residues(word: tuple[int, ...], keep: int) -> frozenset[tuple[int, ...]]:

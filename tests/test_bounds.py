@@ -25,11 +25,13 @@ from packings.bounds import (
     EXACT_THRESHOLD,
     EXACT_WINDOW,
     GEN_SECOND_JOHNSON,
+    JOHNSON_SCHONHEIM,
     _bernoulli_horizon,
     _first_true,
     _least_ell,
     _passing_horizon,
     _window_edge,
+    bound_candidates,
     least_bound,
     sj_quadratic_feasible,
 )
@@ -473,6 +475,26 @@ class TestBestUpperBound:
         rep = best_upper_bound(DesignParams(14, 5, 2, 1))
         assert rep.value == 4
         assert rep.provenance == GEN_SECOND_JOHNSON
+
+    def test_candidates_compute_the_nested_floor_once(self, monkeypatch):
+        # the convexity walk takes its cap from the list's own Johnson-Schonheim
+        # row, and at t >= 3 no other candidate computes the nested floor
+        calls = []
+
+        def counted_js(params):
+            calls.append(params)
+            return johnson_schonheim(params)
+
+        monkeypatch.setattr(bounds, "johnson_schonheim", counted_js)
+        for params in (DesignParams(20, 6, 3, 1), DesignParams(40, 9, 4, 2)):
+            calls.clear()
+            reps = bound_candidates(params)
+            assert calls == [params]
+            assert reps[0].provenance == JOHNSON_SCHONHEIM
+            assert reps[1] == gen_second_johnson_bound(params)
+            calls.clear()
+            bound_candidates(params, directed=True)
+            assert calls == [params.with_lam(math.factorial(params.t) * params.lam)]
 
     def test_six_points_agreement(self):
         assert best_upper_bound(DesignParams(6, 3, 2, 1)).value == 4

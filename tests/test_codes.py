@@ -19,6 +19,7 @@ from packings import (
     to_indel_code,
 )
 from packings import codes
+from packings.core import _lis_heights as core_lis_heights
 
 
 def lcs_reference(a, b):
@@ -99,6 +100,30 @@ class TestConstantWeight:
         d = PackingDesign(6, ((0, 1, 2), (3, 4, 5)))
         code = to_constant_weight(d, DesignParams(6, 3, 2, 1))
         assert min_hamming_distance(code) == 6
+
+    @staticmethod
+    def check_against_pairwise_count(v, w, supports):
+        words = [tuple(int(x in s) for x in range(v)) for s in supports]
+        code = ConstantWeightCode(v, w, words)
+        direct = min(sum(x != y for x, y in zip(a, b)) for a, b in combinations(words, 2))
+        assert min_hamming_distance(code) == direct
+        return direct
+
+    def test_distance_matches_pairwise_count_on_random_codes(self, rng):
+        # d = 2(w - largest support overlap), against the count over full vectors
+        for _ in range(200):
+            v = rng.randrange(2, 16)
+            w = rng.randrange(1, v + 1)
+            supports = {frozenset(rng.sample(range(v), w)) for _ in range(rng.randrange(2, 9))}
+            if len(supports) >= 2:
+                self.check_against_pairwise_count(v, w, supports)
+
+    def test_pairwise_disjoint_supports(self, rng):
+        for _ in range(50):
+            w, n = rng.randrange(1, 6), rng.randrange(2, 6)
+            v = w * n + rng.randrange(3)
+            supports = [range(a, a + w) for a in range(0, w * n, w)]
+            assert self.check_against_pairwise_count(v, w, supports) == 2 * w
 
     def test_single_word_distance_undefined(self):
         d = PackingDesign(6, ((0, 1, 2),))
@@ -204,6 +229,58 @@ class TestIndelCode:
                     for a, b in combinations(code.words, 2)
                 )
                 assert deletion_channel_check(code, s) == expected
+
+
+class TestAllPairsLcs:
+    @staticmethod
+    def brute_force(code):
+        return max(lcs_dp(a, b) for a, b in combinations(code.words, 2))
+
+    def test_repeat_free_codes_match_pairwise_maximum(self, rng):
+        for _ in range(300):
+            v = rng.randrange(2, 14)
+            k = rng.randrange(1, min(v, 7) + 1)
+            words = {tuple(rng.sample(range(v), k)) for _ in range(rng.randrange(2, 9))}
+            if len(words) < 2:
+                continue
+            code = IndelCode(v, k, tuple(words))
+            assert max_pairwise_lcs(code) == self.brute_force(code)
+
+    def test_codes_with_repeats_match_pairwise_maximum(self, rng):
+        # heavy repeats over small alphabets, and constant words among them
+        for _ in range(300):
+            q = rng.randrange(1, 4)
+            k = rng.randrange(1, 9)
+            words = {tuple(rng.choices(range(q), k=k)) for _ in range(rng.randrange(2, 9))}
+            words |= {(c,) * k for c in range(q) if rng.random() < 0.5}
+            if len(words) < 2:
+                continue
+            code = IndelCode(q, k, tuple(words), allow_repeats=True)
+            assert max_pairwise_lcs(code) == self.brute_force(code)
+
+    def test_words_sharing_nothing(self):
+        assert max_pairwise_lcs(IndelCode(9, 3, ((0, 1, 2), (3, 4, 5), (8, 7, 6)))) == 0
+
+    def test_only_sharing_pairs_reach_the_subsequence_search(self, monkeypatch):
+        # 2,400 words on disjoint symbols but for four sharing pairs: the
+        # longest-increasing-subsequence step sees at most those four
+        # match lists, not C(2400, 2) pairs
+        n, k = 2400, 4
+        words = [list(range(k * i, k * i + k)) for i in range(n)]
+        words[7][0] = words[3][2]  # pair (3, 7) shares one symbol
+        words[100][1] = words[50][1]  # pair (50, 100) shares one symbol
+        words[2000][:2] = words[1999][1:3]  # pair (1999, 2000) shares two, in order
+        words[5][3] = words[2][0]  # pair (2, 5) shares one symbol
+        code = IndelCode(k * n, k, tuple(map(tuple, words)))
+        calls = []
+
+        def counted_heights(matches):
+            calls.append(matches)
+            return core_lis_heights(matches)
+
+        monkeypatch.setattr(codes, "_lis_heights", counted_heights)
+        assert max_pairwise_lcs(code) == 2
+        assert 1 <= len(calls) <= 4
 
 
 class TestAddConstantWords:
