@@ -294,8 +294,9 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
 
     First looks for the n with e(n) <= lam*v < e(n+1), e(n) = nk - (t-1)C(n,lam+1);
     failing that, tries the boundary window at ell, the least count with
-    (t-1)C(ell,lam) > k, whose upper edge is a rational number compared
-    exactly.  As e(n+1) - e(n) = k - (t-1)C(n,lam), e does not decrease on
+    (t-1)C(ell,lam) > k, whose upper edge top/(lam+2) is compared in integers,
+    as (lam+2)*lam*v < top; the Fraction is built only for a report that
+    holds.  As e(n+1) - e(n) = k - (t-1)C(n,lam), e does not decrease on
     1..ell, so that n is one less than the first count there with
     e(n) > lam*v, found by ``_first_true``, and it lies below ell.  The
     search starts at lam + 1 <= ell: for n <= lam, e(n) = nk <= lam*v.
@@ -311,8 +312,9 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
             raise RuntimeError(f"window at n={n} for {params} misses lam*v: {(lo, hi)}")
         return BoundReport(n, EXACT_WINDOW, {"n": n, "window": (lo, hi)}, exact=True)
     lo = _window_edge(ell, k, t, lam)
-    hi = Fraction((lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1), lam + 2)
-    if lo <= lam * v and lam * v < hi:
+    top = (lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1)
+    if lo <= lam * v and (lam + 2) * lam * v < top:
+        hi = Fraction(top, lam + 2)
         return BoundReport(
             ell, EXACT_THRESHOLD, {"ell": ell, "window": (lo, hi)}, exact=True
         )

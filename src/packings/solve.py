@@ -1,9 +1,10 @@
 """Exact search for packing and directed packing numbers on small instances.
 
 Depth-first search over candidate blocks in lexicographic order, which
-ends early only at its cap or its node budget.  The cap is the least
-classical bound, never taken from the exact-value windows, so an "optimal"
-certificate is independent ground truth for them.
+stops early only at its cap or its node budget and cuts only the subtrees
+that a capacity bound shows cannot beat the best design found.  The cap is
+the least classical bound, never taken from the exact-value windows, so an
+"optimal" certificate is independent ground truth for them.
 
 Each candidate is one int mask over the coverage units (t-sets, or ordered
 t-tuples in the directed case).  The unit counts of the chosen blocks are
@@ -18,23 +19,49 @@ prefix that meets the root's units is cut with its subtree.  POOL_LIMIT and
 MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything is
 built.
 
-The search has no bounding prune, because the counting prunes never cut
-below the cap.  Write lam for the multiplicity of the unordered shadow (t!
-times the directed multiplicity) and JS for the Johnson-Schonheim bound
-there; the cap is at most JS.  A point lies in at most r_cap =
-lam*C(v-1,t-1)//C(k-1,t-1) blocks, so the points admit v*r_cap//k blocks,
-and JS is no more: it is the floor of v/k times an integer no larger than
-lam*C(v-1,t-1)/C(k-1,t-1), hence no larger than r_cap.  The units admit
-lam*C(v,t)//C(k,t) blocks (for ordered t-tuples the count is the same at
-the shadow multiplicity), and JS is no more, because dropping every floor
-of the nested bound can only raise it.  So every branch can still reach
-the cap, and the search stops once it meets it.
+The one bounding rule is a capacity bound, one code for both searches.
+Every block added below a node comes from its child level, the candidates
+that node leaves admissible, so it uses only units in the child level's
+union `reach`, and each unit at most as often as it has uses left: free_j =
+reach & ~planes[j] holds the units with a (j+1)-th use left.  A block uses
+C(k,t) units, so at most sum_j |free_j| // C(k,t) blocks can be added (the
+unit bound).  A block through point x uses the C(k-1,t-1) units of its own
+that contain x, all in star[x], the mask of the units holding x; so at most
+floor(sum_j |free_j & star[x]| / C(k-1,t-1)) added blocks pass through x,
+and as every block has k points, at most the sum of these floors over x,
+divided by k and floored (the point bound).  The point bound is never above
+the unit bound: without the floors the point sum is t * sum_j |free_j| /
+C(k-1,t-1), and k * C(k-1,t-1) = t * C(k,t).  A node whose chosen blocks
+plus either bound cannot pass best_n is cut with its subtree; it still
+counts as a visited node.  A cut subtree holds no design above best_n, and
+one at best_n would come after the best already found, so every certified
+value keeps its witness, the first design found with the best count.  At
+best_n = len(chosen) nothing is tested: a non-empty child level holds a
+block whose k points each give at least 1, so the point bound is at least
+1.  The stars are built when the unit bound first fails to cut, so a
+search that meets its cap on the first descent never builds them.
+
+The cap is the least classical bound; the counting prunes on the chosen
+blocks alone never cut below it.  Write lam for the multiplicity of the
+unordered shadow (t! times the directed multiplicity) and JS for the
+Johnson-Schonheim bound there; the cap is at most JS.  A point lies in at
+most r_cap = lam*C(v-1,t-1)//C(k-1,t-1) blocks, so the points admit
+v*r_cap//k blocks, and JS is no more: it is the floor of v/k times an
+integer no larger than lam*C(v-1,t-1)/C(k-1,t-1), hence no larger than
+r_cap.  The units admit lam*C(v,t)//C(k,t) blocks (for ordered t-tuples the
+count is the same at the shadow multiplicity), and JS is no more, because
+dropping every floor of the nested bound can only raise it.  The capacity
+bound differs from these in counting only the units that the remaining
+candidates still reach.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .bounds import best_upper_bound
@@ -73,24 +100,31 @@ class SearchResult(NamedTuple):
     witness: Design
     certificate: str
     nodes: int = 0  # nodes visited, the unit the node budget counts
+    cuts: int = 0  # visited nodes whose subtree the capacity bound cut
 
 
 def _search(
-    masks: list[int], unit_cap: int, bound_cap: int, cfg: SearchConfig
-) -> tuple[int, list[int], str, int]:
+    masks: list[int],
+    unit_cap: int,
+    bound_cap: int,
+    cfg: SearchConfig,
+    cut: Callable[[int, list[int], int], bool],
+) -> tuple[int, list[int], str, int, int]:
     """Depth-first engine over precomputed candidate blocks.
 
     Candidate i covers the coverage units set in masks[i]; each unit may be
     used at most unit_cap times.  Block sequences are kept
     index-nondecreasing (one canonical order per multiset of blocks), and
     the search is rooted at candidate 0, which any design can be relabeled
-    to contain.  Returns the best count, its candidate indices, the
-    certificate and the number of nodes visited.
+    to contain.  cut(reach, planes, room) is the capacity bound's test that
+    no more than room blocks fit.  Returns the best count, its candidate
+    indices, the certificate, the number of nodes visited and the number of
+    them whose subtree the bound cut.
     """
     budget = cfg.node_budget
     chosen: list[int] = []
     best: list[int] = []
-    best_n = nodes = 0
+    best_n = nodes = cuts = 0
     certificate = OPTIMAL
     # The open levels, innermost last: each holds the candidates admissible
     # there, the end and next position of its loop, and its unit planes,
@@ -123,12 +157,21 @@ def _search(
             added.append(plane | carry)
             carry &= plane
         full = added[-1]
-        stack.append((level, end, pos, planes))
         # saturation only grows with depth, so the children's candidates
         # are this level's remaining ones that stay admissible
-        level = [j for j in level[pos - 1 :] if not masks[j] & full]
-        end, pos, planes = len(level), 0, added
-    return best_n, best, certificate, nodes
+        children = [j for j in level[pos - 1 :] if not masks[j] & full]
+        if not children:
+            chosen.pop()
+            continue
+        if len(chosen) < best_n and cut(
+            reduce(or_, map(masks.__getitem__, children)), added, best_n - len(chosen)
+        ):
+            cuts += 1
+            chosen.pop()
+            continue
+        stack.append((level, end, pos, planes))
+        level, end, pos, planes = children, len(children), 0, added
+    return best_n, best, certificate, nodes, cuts
 
 
 def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
@@ -147,6 +190,13 @@ def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
     return count, f"{count:,}"
 
 
+def _shifts(v: int, t: int, directed: bool) -> list[list[int]]:
+    """shift[j][x]: how far appending point x moves a unit of j - 1 points to its j-point unit."""
+    if directed:
+        return [[x * v ** (j - 1) for x in range(v)] for j in range(t + 1)]
+    return [[math.comb(x, j) for x in range(v)] for j in range(t + 1)]
+
+
 def _pool(
     v: int, k: int, t: int, lam: int, directed: bool
 ) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -163,10 +213,7 @@ def _pool(
     lies in it, so a prefix that meets them is cut with all its extensions;
     at larger lam nothing is cut.  Returns the candidates and their masks.
     """
-    if directed:
-        shift = [[x * v ** (j - 1) for x in range(v)] for j in range(t + 1)]
-    else:
-        shift = [[math.comb(x, j) for x in range(v)] for j in range(t + 1)]
+    shift = _shifts(v, t, directed)
     empty = (1,) + (0,) * t
     root = empty
     for x in range(k):
@@ -199,6 +246,64 @@ def _pool(
     return cands, masks
 
 
+def _stars(v: int, t: int, directed: bool) -> list[int]:
+    """Each point's star: a mask holding every unit that contains the point.
+
+    The units of a point sequence (its t-point subsequences) come from
+    prefix shifts, as in ``_pool``, and a point's star is what the whole
+    sequence has beyond the sequence without it.  An increasing sequence
+    gives the t-sets exactly; t copies of range(v) give every ordered t-tuple
+    code, repeated points included, and those codes lie in no mask.
+    """
+    shift = _shifts(v, t, directed)
+
+    def units(skip: int | None) -> int:
+        grown = [1] + [0] * t
+        for x in [y for y in range(v) if y != skip] * (t if directed else 1):
+            for j in range(t, 0, -1):
+                grown[j] |= grown[j - 1] << shift[j][x]
+        return grown[t]
+
+    every = units(None)
+    return [every ^ units(x) for x in range(v)]
+
+
+def _capacity_cut(
+    v: int, k: int, t: int, directed: bool
+) -> Callable[[int, list[int], int], bool]:
+    """The capacity bound of the module docstring, as a test cut(reach, planes, room).
+
+    The test is true when at most room blocks can be added from candidates
+    whose masks lie in reach, planes[j] holding the units used more than j
+    times.  It lays the free planes side by side in one int, so the unit
+    bound is one popcount and each point one AND and one popcount against
+    its star copied once per plane.  The stars are built at the first call
+    that the unit bound does not settle.
+    """
+    per_block, per_point = math.comb(k, t), math.comb(k - 1, t - 1)
+    width = v**t if directed else math.comb(v, t)
+    wide_stars: list[int] = []
+
+    def cut(reach: int, planes: list[int], room: int) -> bool:
+        # the children miss the top plane, so all of reach is free there
+        wide = reach
+        for plane in planes[:-1]:
+            wide = wide << width | reach & ~plane
+        if wide.bit_count() // per_block <= room:
+            return True
+        if not wide_stars:
+            copies = sum(1 << j * width for j in range(len(planes)))
+            wide_stars.extend(star * copies for star in _stars(v, t, directed))
+        need, total = (room + 1) * k, 0
+        for star in wide_stars:
+            total += (wide & star).bit_count() // per_point
+            if total >= need:
+                return False
+        return True
+
+    return cut
+
+
 def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
     """The shared search: one mask per candidate block, capped by the classical bounds."""
     v, k, t, lam = params.v, params.k, params.t, params.lam
@@ -211,9 +316,10 @@ def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) ->
                          f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
     cands, masks = _pool(v, k, t, lam, directed)
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
-    best_n, best, certificate, nodes = _search(masks, lam, cap, config or SearchConfig())
+    cut = _capacity_cut(v, k, t, directed)
+    best_n, best, certificate, nodes, cuts = _search(masks, lam, cap, config or SearchConfig(), cut)
     design = DirectedPackingDesign if directed else PackingDesign
-    return SearchResult(best_n, design(v, tuple(cands[i] for i in best)), certificate, nodes)
+    return SearchResult(best_n, design(v, tuple(cands[i] for i in best)), certificate, nodes, cuts)
 
 
 def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> SearchResult:

@@ -123,21 +123,34 @@ def test_criterion_2_exact_values_reproduced():
 def test_criterion_3_theorem_vs_oracle_sweep(oracle_sweep):
     results, sweep_time = oracle_sweep
     start = time.time()
-    ok = True
-    for (v, k, lam), (params, oracle, theorem) in results.items():
+    checks = [(params, oracle, theorem) for params, oracle, theorem in results.values()]
+    # a second source for the t >= 3 windows: every window cell of the grid
+    # t in {3, 4}, lam <= 3, t <= k <= v <= 12, searched at the same budget
+    config = SearchConfig(node_budget=120_000)
+    high_t = 0
+    for t, lam in [(t, lam) for t in (3, 4) for lam in (1, 2, 3)]:
+        for k in range(t, 13):
+            for v in range(k, 13):
+                params = DesignParams(v, k, t, lam)
+                theorem = exact_by_theorems(params)
+                if theorem.value is not None:
+                    checks.append((params, pdn_exact(params, config), theorem))
+                    high_t += 1
+    ok = high_t == 145
+    for params, oracle, theorem in checks:
         if theorem.value is None:
             continue
         # the window cells are all easy: the oracle must settle them
         if oracle.certificate != OPTIMAL:
             ok = False
-            print(f"  window cell ({v},{k},lam={lam}) did not certify")
+            print(f"  window cell {params} did not certify")
             continue
         if oracle.n != theorem.value:
             ok = False
-            print(f"  mismatch at ({v},{k},lam={lam}): oracle {oracle.n} vs {theorem.value}")
+            print(f"  mismatch at {params}: oracle {oracle.n} vs {theorem.value}")
     report(
         3,
-        "exact windows agree with the oracle on the sweep grid",
+        f"exact windows agree with the oracle on the sweep grid and {high_t} t >= 3 cells",
         ok,
         time.time() - start + sweep_time,
         600.0,

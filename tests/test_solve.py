@@ -19,7 +19,16 @@ from packings import (
     validate_packing,
 )
 from packings.core import choose
-from packings.solve import BUDGET_EXHAUSTED, MASK_BITS_LIMIT, OPTIMAL, POOL_LIMIT, _pool
+from packings import solve
+from packings.solve import (
+    BUDGET_EXHAUSTED,
+    MASK_BITS_LIMIT,
+    OPTIMAL,
+    POOL_LIMIT,
+    SearchResult,
+    _pool,
+    _stars,
+)
 
 
 def brute_pdn(v, k, t, lam):
@@ -55,18 +64,24 @@ class _Done(Exception):
 
 
 def reference_search(
-    v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg, symmetry=True
+    v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg, symmetry=True,
+    bound=True,
 ):
     """The per-unit counting engine the bitset engine replaced, kept as its reference.
 
     At every node it recomputes the reach prune from per-point frequencies
     and pair capacities and checks the convexity test, and each level
-    rescans the saturated candidates.  With symmetry set it roots the search
-    at candidate 0, as the engine does.  Returns (n, candidate indices,
-    certificate, nodes visited).
+    rescans the saturated candidates.  With bound set it also applies the
+    capacity bound, counted unit by unit.  With symmetry set it roots the
+    search at candidate 0, as the engine does.  Returns (n, candidate
+    indices, certificate, nodes visited, nodes cut by the capacity bound).
     """
     per_block = len(cand_subs[0])
-    r_cap = shadow_lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
+    r_div = choose(k - 1, t - 1)
+    r_cap = shadow_lam * choose(v - 1, t - 1) // r_div
+    unit_points = {}
+    for c, subs in zip(cands, cand_subs):
+        unit_points.update(zip(subs, combinations(c, t)))
 
     counts = [0] * n_subs
     freq = [0] * v
@@ -78,7 +93,7 @@ def reference_search(
     best = []
     used = 0
     s_conv = 0
-    nodes = 0
+    nodes = cuts = 0
 
     conv_step = [choose(f, shadow_lam) for f in range(bound_cap + 2)]
     total_units = unit_cap * n_subs
@@ -95,8 +110,24 @@ def reference_search(
         extra = room // k
         return min(extra, (total_units - used) // per_block)
 
+    def capacity_cut(start, c):
+        # the uses left on each unit the admissible candidates from start
+        # reach, summed per point; no cut when none is admissible
+        children = [
+            j for j in range(start, len(cands))
+            if all(counts[s] < unit_cap for s in cand_subs[j])
+        ]
+        if not children:
+            return False
+        reached = {s for j in children for s in cand_subs[j]}
+        left = [0] * v
+        for s in reached:
+            for x in unit_points[s]:
+                left[x] += unit_cap - counts[s]
+        return c + sum(n // r_div for n in left) // k <= best_n
+
     def dfs(start, c):
-        nonlocal best_n, best, used, s_conv, nodes
+        nonlocal best_n, best, used, s_conv, nodes, cuts
         end = 1 if (c == 0 and symmetry) else len(cands)
         for idx in range(start, end):
             subs = cand_subs[idx]
@@ -124,7 +155,10 @@ def reference_search(
             if c + 1 < bound_cap:
                 reach = min(c + 1 + extra_bound(), bound_cap)
                 if reach > best_n and s_conv <= (t - 1) * choose(reach, shadow_lam + 1):
-                    dfs(idx, c + 1)
+                    if bound and c + 1 < best_n and capacity_cut(idx, c + 1):
+                        cuts += 1
+                    else:
+                        dfs(idx, c + 1)
 
             chosen.pop()
             if pair_cap is not None:
@@ -145,30 +179,30 @@ def reference_search(
     except _Budget:
         certificate = BUDGET_EXHAUSTED
         nodes -= 1  # the node that broke the budget was not visited
-    return best_n, best, certificate, nodes
+    return best_n, best, certificate, nodes, cuts
 
 
-def reference_pdn(params, cfg, symmetry=True):
+def reference_pdn(params, cfg, symmetry=True, bound=True):
     v, k, t, lam = params.v, params.k, params.t, params.lam
     cands = list(combinations(range(v), k))
     sub_ids = {s: i for i, s in enumerate(combinations(range(v), t))}
     cand_subs = [tuple(sub_ids[s] for s in combinations(c, t)) for c in cands]
     cap = best_upper_bound(params, include_exact=False).value
-    n, best, certificate, nodes = reference_search(
-        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry
+    n, best, certificate, nodes, cuts = reference_search(
+        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry, bound
     )
-    return n, tuple(cands[i] for i in best), certificate, nodes
+    return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
 
-def reference_dpdn(v, k, cfg, symmetry=True):
+def reference_dpdn(v, k, cfg, symmetry=True, bound=True):
     cands = list(permutations(range(v), k))
     pair_ids = {p: i for i, p in enumerate(permutations(range(v), 2))}
     cand_subs = [tuple(pair_ids[p] for p in combinations(c, 2)) for c in cands]
     cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
-    n, best, certificate, nodes = reference_search(
-        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry
+    n, best, certificate, nodes, cuts = reference_search(
+        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry, bound
     )
-    return n, tuple(cands[i] for i in best), certificate, nodes
+    return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
 
 REFERENCE_BUDGETS = (1, 2, 7, 60, 600, 3000)
@@ -176,7 +210,9 @@ REFERENCE_PDN_CELLS = [
     *((v, k, 2, lam) for lam in (1, 2, 3) for k in (3, 4, 5) for v in range(k, 10)),
     (6, 4, 3, 1), (7, 4, 3, 1), (7, 5, 3, 2), (8, 4, 3, 1), (5, 3, 3, 2), (6, 3, 1, 2),
 ]
-REFERENCE_DPDN_CELLS = [(4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (5, 5), (7, 5)]
+REFERENCE_DPDN_CELLS = [
+    (4, 3), (5, 3), (6, 3), (7, 3), (5, 4), (6, 4), (5, 5), (7, 5), (8, 3), (8, 4),
+]
 
 
 class TestSearchEngine:
@@ -188,7 +224,7 @@ class TestSearchEngine:
             for budget in REFERENCE_BUDGETS:
                 cfg = SearchConfig(node_budget=budget)
                 r = pdn_exact(params, cfg)
-                got = (r.n, r.witness.blocks, r.certificate, r.nodes)
+                got = (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts)
                 assert got == reference_pdn(params, cfg), (cell, budget)
 
     def test_dpdn_matches_reference(self):
@@ -196,18 +232,18 @@ class TestSearchEngine:
             for budget in REFERENCE_BUDGETS:
                 cfg = SearchConfig(node_budget=budget)
                 r = dpdn_exact(v, k, cfg)
-                got = (r.n, r.witness.blocks, r.certificate, r.nodes)
+                got = (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts)
                 assert got == reference_dpdn(v, k, cfg), (v, k, budget)
 
     def test_unbudgeted_matches_reference(self):
         cfg = SearchConfig()
         for cell in [(7, 3, 2, 1), (8, 4, 2, 1), (6, 3, 2, 2), (7, 4, 3, 1)]:
             r = pdn_exact(DesignParams(*cell), cfg)
-            assert (r.n, r.witness.blocks, r.certificate, r.nodes) == reference_pdn(
+            assert (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts) == reference_pdn(
                 DesignParams(*cell), cfg
             )
         r = dpdn_exact(6, 3, cfg)
-        assert (r.n, r.witness.blocks, r.certificate, r.nodes) == reference_dpdn(6, 3, cfg)
+        assert (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts) == reference_dpdn(6, 3, cfg)
 
     def test_exhausted_budget_is_the_node_count(self):
         for budget in (1, 5, 1000):
@@ -267,8 +303,9 @@ class TestSearchEngine:
         assert peak < 2**20, peak
 
     def test_no_counting_prune_cuts_below_the_cap(self):
-        # the engine has no reach prune because the cap never exceeds the
-        # point count v*r_cap//k or the unit count lam*C(v,t)//C(k,t)
+        # no reach prune on the chosen blocks alone can cut, because the cap
+        # never exceeds the point count v*r_cap//k or the unit count
+        # lam*C(v,t)//C(k,t)
         cells = 0
         for t in range(1, 5):
             for lam in (1, 2, 3, 6):
@@ -285,6 +322,102 @@ class TestSearchEngine:
     def test_largest_benchmarked_pool_is_admitted(self):
         result = dpdn_exact(9, 6)
         assert (result.n, result.certificate) == (3, OPTIMAL)
+
+
+class TestCapacityBound:
+    """The capacity bound cuts only subtrees that cannot beat the best design."""
+
+    def test_values_and_witnesses_match_the_search_without_it(self):
+        # the first design found with the best count is the same, in no more nodes
+        compared = 0
+        cfg = SearchConfig(node_budget=16_000)
+        runs = [
+            (pdn_exact(DesignParams(*c), cfg), reference_pdn(DesignParams(*c), cfg, bound=False))
+            for c in REFERENCE_PDN_CELLS
+        ]
+        runs += [
+            (dpdn_exact(v, k, cfg), reference_dpdn(v, k, cfg, bound=False))
+            for v, k in REFERENCE_DPDN_CELLS
+        ]
+        for r, (n, blocks, certificate, nodes, cuts) in runs:
+            assert cuts == 0
+            if r.certificate == certificate == OPTIMAL:
+                assert (r.n, r.witness.blocks) == (n, blocks)
+                assert r.nodes <= nodes
+                compared += 1
+            elif certificate == OPTIMAL:
+                raise AssertionError(f"certified without the bound only: {r}")
+        assert compared == 62
+
+    @pytest.mark.parametrize("v,k,t,lam", [(7, 5, 3, 2), (5, 4, 3, 2), (5, 4, 3, 3), (6, 5, 3, 3)])
+    def test_agrees_with_outright_enumeration_at_t3(self, v, k, t, lam):
+        result = pdn_exact(DesignParams(v, k, t, lam))
+        assert result.certificate == OPTIMAL
+        assert result.n == brute_pdn(v, k, t, lam)
+
+    def test_cuts_below_the_cap(self):
+        # (7,5,3,2) stops at 4 under a cap of 5 only by cutting subtrees
+        params = DesignParams(7, 5, 3, 2)
+        result = pdn_exact(params)
+        assert best_upper_bound(params, include_exact=False).value == 5
+        assert (result.n, result.certificate) == (4, OPTIMAL) and result.cuts > 0
+
+    @pytest.mark.parametrize(
+        "cell,expected",
+        [
+            ((12, 3, 2, 1), 20),  # Schonheim (1966)
+            ((9, 3, 2, 2), 24),  # two copies of the affine plane of order 3
+            ((10, 5, 2, 2), 8),  # the classical cap
+            ((9, 4, 3, 1), 18),  # the classical cap
+            ((8, 5, 3, 2), 10),  # also certified without the bound, in 232,992 nodes
+        ],
+    )
+    def test_new_certificates_at_the_acceptance_budget(self, cell, expected):
+        params = DesignParams(*cell)
+        result = pdn_exact(params, SearchConfig(node_budget=120_000))
+        assert (result.n, result.certificate) == (expected, OPTIMAL)
+        assert validate_packing(result.witness, params).valid
+        assert len(result.witness.blocks) == expected
+        if cell in ((10, 5, 2, 2), (9, 4, 3, 1)):
+            assert best_upper_bound(params, include_exact=False).value == expected
+
+    def test_stars_only_when_a_gap_opens(self, monkeypatch):
+        # a search that meets its cap on the first descent tests no bound
+        # and builds no stars; a test always has room for at least one block
+        rooms = []
+        make = solve._capacity_cut
+
+        def spy(*shape):
+            cut = make(*shape)
+            return lambda reach, planes, room: rooms.append(room) or cut(reach, planes, room)
+
+        monkeypatch.setattr(solve, "_capacity_cut", spy)
+        monkeypatch.setattr(solve, "_stars", None)
+        assert pdn_exact(DesignParams(7, 3, 2, 1)).n == 7
+        assert rooms == []
+        monkeypatch.setattr(solve, "_stars", _stars)
+        assert pdn_exact(DesignParams(7, 5, 3, 2)).cuts > 0
+        assert min(rooms) >= 1
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_stars_hold_the_units_through_each_point(self, directed):
+        arrange = permutations if directed else combinations
+        for t in (1, 2, 3):
+            for v in range(t, 8):
+                code = {
+                    s: sum(a * v**i for i, a in enumerate(s)) if directed
+                    else sum(choose(a, i) for i, a in enumerate(s, 1))
+                    for s in arrange(range(v), t)
+                }
+                units = sum(1 << c for c in code.values())
+                for x, star in enumerate(_stars(v, t, directed)):
+                    through = sum(1 << c for s, c in code.items() if x in s)
+                    assert star & units == through, (v, t, x)
+                    assert directed or star == through
+
+    def test_results_without_cuts_still_build(self):
+        result = SearchResult(1, PackingDesign(3, ((0, 1, 2),)), OPTIMAL)
+        assert (result.nodes, result.cuts) == (0, 0)
 
 
 def admitted_by_filter(v, k, t, lam, directed):
@@ -374,7 +507,7 @@ class TestPdnExact:
                 for v in range(k, 9):
                     params = DesignParams(v, k, 2, lam)
                     on = pdn_exact(params)
-                    off_n, _, off_certificate, _ = reference_pdn(params, SearchConfig(), False)
+                    off_n, _, off_certificate, _, _ = reference_pdn(params, SearchConfig(), False)
                     assert on.certificate == off_certificate == OPTIMAL
                     assert on.n == off_n, (v, k, lam)
 
@@ -428,7 +561,7 @@ class TestDpdnExact:
     def test_symmetry_toggle_keeps_value(self):
         for v, k in [(4, 3), (5, 4), (4, 4)]:
             on = dpdn_exact(v, k)
-            off_n, _, off_certificate, _ = reference_dpdn(v, k, SearchConfig(), False)
+            off_n, _, off_certificate, _, _ = reference_dpdn(v, k, SearchConfig(), False)
             assert on.n == off_n
             assert on.certificate == off_certificate == OPTIMAL
 
