@@ -11,13 +11,26 @@ t-tuples in the directed case).  The unit counts of the chosen blocks are
 held as saturating bitplanes, so a candidate is admissible when its mask
 misses the top plane, and a node costs a few integer operations.
 
-The pool is the root (0, ..., k-1) plus the candidates it admits, built by
+The pool is the root (0, ..., k-1) plus the candidates it admits, drawn
+lazily by a depth-first walk over prefixes, in lexicographic order, with
 prefix shifts: a t-set is numbered by its colex rank sum C(ai, i), an ordered
 t-tuple by sum ai * v**(i-1), so appending a point to a prefix shifts the
 units of the prefix's shorter subsequences into place.  At lam = 1 every
 prefix that meets the root's units is cut with its subtree.  POOL_LIMIT and
 MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything is
-built.
+drawn.
+
+The search's first descent is taken while the pool is drawn.  Along it
+len(chosen) == best_n, so no bound is tested, and at every depth the search
+takes the first candidate, at or after the current one, that misses the top
+plane; at lam >= 2 that may be the current one again.  Planes change only
+when a candidate is chosen, so testing each candidate against the planes as
+it is drawn, and choosing it while it stays admissible, picks the same
+blocks.  When that descent meets the cap, the search would stop there with
+cap nodes, no cut and these blocks as its witness; so when the node budget
+allows cap nodes the answer is returned at once, and nothing more is drawn.
+Otherwise the rest of the pool is drawn and the search runs from the root,
+so every result, down to its node and cut counts, is the search's own.
 
 The one bounding rule is a capacity bound, one code for both searches.
 Every block added below a node comes from its child level, the candidates
@@ -58,7 +71,7 @@ candidates still reach.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -79,7 +92,7 @@ BUDGET_EXHAUSTED = "budget-exhausted lower bound"
 # takes on, however few of them the root admits.
 POOL_LIMIT = 200_000
 # Largest mask table, full pool size times unit count, in bits.  The prefix
-# walk holds one level at a time, at most one prefix per candidate, so this
+# walk holds a stack of at most k prefixes, plus the drawn masks, so this
 # bounds it too.
 MASK_BITS_LIMIT = 100_000_000
 
@@ -101,6 +114,7 @@ class SearchResult(NamedTuple):
     certificate: str
     nodes: int = 0  # nodes visited, the unit the node budget counts
     cuts: int = 0  # visited nodes whose subtree the capacity bound cut
+    candidates: int = 0  # candidates drawn from the pool
 
 
 def _search(
@@ -199,19 +213,20 @@ def _shifts(v: int, t: int, directed: bool) -> list[list[int]]:
 
 def _pool(
     v: int, k: int, t: int, lam: int, directed: bool
-) -> tuple[list[tuple[int, ...]], list[int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """The search root (0, ..., k-1), then, in order, the candidates it leaves admissible.
 
-    Grows the prefixes of the k-subsets (or ordered k-tuples) one point at a
-    time, each level in lexicographic order.  A t-set a1 < ... < at is unit
-    sum C(ai, i), its colex rank; an ordered t-tuple is unit sum
-    ai * v**(i-1), so the directed masks span v**t bits, a factor v/(v-1)
-    above P(v, 2) at t = 2.  With units[j] the units of a prefix's j-point
-    subsequences (units[0] = 1, the empty one), appending x sets
+    Yields (candidate, mask) pairs lazily, walking the prefixes of the
+    k-subsets (or ordered k-tuples) depth-first in lexicographic order, one
+    point at a time, on an explicit stack of at most k prefixes.  A t-set
+    a1 < ... < at is unit sum C(ai, i), its colex rank; an ordered t-tuple is
+    unit sum ai * v**(i-1), so the directed masks span v**t bits, a factor
+    v/(v-1) above P(v, 2) at t = 2.  With units[j] the units of a prefix's
+    j-point subsequences (units[0] = 1, the empty one), appending x sets
     units[j] |= units[j-1] << shift[j][x].  At lam = 1 the root's child level
     holds only candidates that miss the root's units, and every later node
     lies in it, so a prefix that meets them is cut with all its extensions;
-    at larger lam nothing is cut.  Returns the candidates and their masks.
+    at larger lam nothing is cut.
     """
     shift = _shifts(v, t, directed)
     empty = (1,) + (0,) * t
@@ -219,31 +234,34 @@ def _pool(
     for x in range(k):
         root = (1, *[root[j] | root[j - 1] << shift[j][x] for j in range(1, t + 1)])
     taboo = root[t] if lam == 1 else 0
-    level = [((), empty)]
-    for depth in range(k - 1):
-        stop = v if directed else v - k + depth + 1
-        grown_level = []
-        for prefix, units in level:
-            for x in range(0 if directed or not prefix else prefix[-1] + 1, stop):
+    if lam == 1:
+        yield tuple(range(k)), taboo
+    last = shift[t]
+    # each entry: a prefix, its units, and the points still to append to it
+    stack = [((), empty, iter(range(v if directed else v - k + 1)))]
+    while stack:
+        prefix, units, points = stack[-1]
+        if len(prefix) == k - 1:
+            # the last point: only the top level of units is needed
+            stack.pop()
+            top, below = units[t], units[t - 1]
+            for x in points:
                 if directed and x in prefix:
                     continue
-                grown = (1, *[units[j] | units[j - 1] << shift[j][x] for j in range(1, t + 1)])
-                if not grown[t] & taboo:
-                    grown_level.append(((*prefix, x), grown))
-        level = grown_level
-    # the last point: only the top level of units is needed
-    cands, masks = ([tuple(range(k))], [taboo]) if lam == 1 else ([], [])
-    last = shift[t]
-    for prefix, units in level:
-        top, below = units[t], units[t - 1]
-        for x in range(0 if directed or not prefix else prefix[-1] + 1, v):
+                mask = top | below << last[x]
+                if not mask & taboo:
+                    yield (*prefix, x), mask
+            continue
+        for x in points:
             if directed and x in prefix:
                 continue
-            mask = top | below << last[x]
-            if not mask & taboo:
-                cands.append((*prefix, x))
-                masks.append(mask)
-    return cands, masks
+            grown = (1, *[units[j] | units[j - 1] << shift[j][x] for j in range(1, t + 1)])
+            if not grown[t] & taboo:
+                stop = v if directed else v - k + len(prefix) + 2
+                stack.append(((*prefix, x), grown, iter(range(0 if directed else x + 1, stop))))
+                break
+        else:
+            stack.pop()
 
 
 def _stars(v: int, t: int, directed: bool) -> list[int]:
@@ -314,12 +332,30 @@ def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) ->
     if pool * n_units > MASK_BITS_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
                          f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
-    cands, masks = _pool(v, k, t, lam, directed)
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
-    cut = _capacity_cut(v, k, t, directed)
-    best_n, best, certificate, nodes, cuts = _search(masks, lam, cap, config or SearchConfig(), cut)
+    cfg = config or SearchConfig()
     design = DirectedPackingDesign if directed else PackingDesign
-    return SearchResult(best_n, design(v, tuple(cands[i] for i in best)), certificate, nodes, cuts)
+    # the search's first descent, taken while drawing: see the module docstring
+    descend = cfg.node_budget is None or cap <= cfg.node_budget
+    chosen: list[tuple[int, ...]] = []
+    planes = [0] * lam
+    cands: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for cand, mask in _pool(v, k, t, lam, directed):
+        cands.append(cand)
+        masks.append(mask)
+        while descend and not mask & planes[-1]:
+            chosen.append(cand)
+            if len(chosen) == cap:
+                return SearchResult(cap, design(v, tuple(chosen)), OPTIMAL, cap, 0, len(cands))
+            carry = mask
+            for j, plane in enumerate(planes):
+                planes[j] = plane | carry
+                carry &= plane
+    cut = _capacity_cut(v, k, t, directed)
+    best_n, best, certificate, nodes, cuts = _search(masks, lam, cap, cfg, cut)
+    witness = design(v, tuple(cands[i] for i in best))
+    return SearchResult(best_n, witness, certificate, nodes, cuts, len(cands))
 
 
 def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> SearchResult:

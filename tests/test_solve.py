@@ -259,9 +259,11 @@ class TestSearchEngine:
             after_pdn = gc.collect()
             dpdn_exact(8, 5)
             after_dpdn = gc.collect()
+            dpdn_exact(9, 6)  # answered on the first descent, its pool walk abandoned
+            after_abandoned = gc.collect()
         finally:
             gc.enable()
-        assert (after_pdn, after_dpdn) == (0, 0)
+        assert (after_pdn, after_dpdn, after_abandoned) == (0, 0, 0)
 
     @pytest.mark.parametrize(
         "search,size",
@@ -417,7 +419,7 @@ class TestCapacityBound:
 
     def test_results_without_cuts_still_build(self):
         result = SearchResult(1, PackingDesign(3, ((0, 1, 2),)), OPTIMAL)
-        assert (result.nodes, result.cuts) == (0, 0)
+        assert (result.nodes, result.cuts, result.candidates) == (0, 0, 0)
 
 
 def admitted_by_filter(v, k, t, lam, directed):
@@ -441,8 +443,17 @@ def columns(masks):
     return Counter(frozenset(c) for c in units.values())
 
 
+def drawn(v, k, t, lam, directed):
+    """Every (candidate, mask) pair the pool walk yields, as two lists."""
+    cands, masks = [], []
+    for cand, mask in _pool(v, k, t, lam, directed):
+        cands.append(cand)
+        masks.append(mask)
+    return cands, masks
+
+
 class TestPool:
-    """The prefix walk builds what filtering the whole pool would keep."""
+    """The prefix walk yields what filtering the whole pool would keep."""
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_a_filter_of_every_candidate(self, directed):
@@ -451,7 +462,7 @@ class TestPool:
             for lam in (1, 2, 3):
                 for k in range(t, 9):
                     for v in range(k, 9):
-                        cands, masks = _pool(v, k, t, lam, directed)
+                        cands, masks = drawn(v, k, t, lam, directed)
                         assert cands == admitted_by_filter(v, k, t, lam, directed), (v, k, t, lam)
                         assert len(masks) == len(cands)
                         cells += 1
@@ -465,14 +476,57 @@ class TestPool:
             for lam in (1, 2):
                 for k in range(t, 7):
                     for v in range(k, 8):
-                        cands, masks = _pool(v, k, t, lam, directed)
+                        cands, masks = drawn(v, k, t, lam, directed)
                         unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
                         table = [sum(unit[s] for s in combinations(c, t)) for c in cands]
                         assert columns(masks) == columns(table), (v, k, t, lam)
 
     def test_largest_oracle_pool(self):
-        cands, _ = _pool(9, 6, 2, 1, True)
+        cands, _ = drawn(9, 6, 2, 1, True)
         assert len(cands) == len(admitted_by_filter(9, 6, 2, 1, True)) == 3860
+
+
+class TestFirstDescent:
+    """A first descent that meets the cap answers without drawing the rest of the pool."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(solve, "_search", refuse)
+
+    @pytest.mark.parametrize(
+        "search,n",
+        [
+            (lambda: dpdn_exact(9, 6), 3),
+            (lambda: dpdn_exact(8, 5), 4),
+            (lambda: dpdn_exact(8, 6), 2),
+            (lambda: dpdn_exact(7, 5), 3),
+            (lambda: pdn_exact(DesignParams(12, 4, 2, 1)), 9),
+            (lambda: pdn_exact(DesignParams(12, 5, 2, 1)), 3),
+            (lambda: pdn_exact(DesignParams(5, 5, 2, 3)), 3),  # the one block, chosen thrice
+        ],
+    )
+    def test_answers_without_the_search(self, no_search, search, n):
+        result = search()
+        assert (result.n, result.certificate, result.nodes, result.cuts) == (n, OPTIMAL, n, 0)
+
+    @pytest.mark.parametrize("cell", [(12, 3, 2, 1), (9, 3, 2, 2)])
+    def test_search_runs_when_the_descent_falls_short(self, no_search, cell):
+        with pytest.raises(AssertionError, match="the search ran"):
+            pdn_exact(DesignParams(*cell))
+
+    def test_candidates_drawn(self):
+        assert dpdn_exact(9, 6).candidates == 599
+        assert dpdn_exact(8, 6).candidates == 2
+        # a cell that searches draws its whole pool
+        whole = len(drawn(12, 3, 2, 1, False)[0])
+        assert pdn_exact(DesignParams(12, 3, 2, 1)).candidates == whole == 193
+
+    def test_budget_below_the_cap_searches(self):
+        result = dpdn_exact(9, 6, SearchConfig(node_budget=2))
+        assert (result.n, result.certificate, result.nodes) == (2, BUDGET_EXHAUSTED, 2)
 
 
 class TestPdnExact:
