@@ -185,11 +185,11 @@ def cmd_table(args) -> int:
             if k < args.t:
                 continue
             params = DesignParams(v, k, args.t, args.lam)
-            reports = bd.bound_candidates(params)
-            # an exact window wins outright, even over a classical bound tied with it
-            best = next((rep for rep in reports if rep.exact), None)
-            if best is None:
-                best = bd.least_bound(params, reports)
+            # an exact window wins outright, even over a classical bound tied with it,
+            # so the classical bounds are computed only where no window holds
+            best = bd.exact_by_theorems(params) if args.t >= 2 else None
+            if best is None or not best.exact:
+                best = bd.best_upper_bound(params, include_exact=False)
             rows.append((v, k, best.value, "exact" if best.exact else "upper", best.provenance))
     if args.tsv:
         _print_tsv(("v", "k", "value", "kind", "provenance"), rows)

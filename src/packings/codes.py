@@ -136,8 +136,10 @@ def to_constant_weight(design: PackingDesign, params: DesignParams) -> ConstantW
     require_valid(design, params, uniform=True)
     words = []
     for block in design.blocks:
-        member = set(block)
-        words.append(tuple(1 if x in member else 0 for x in range(design.v)))
+        word = bytearray(design.v)
+        for x in block:
+            word[x] = 1
+        words.append(tuple(word))
     return ConstantWeightCode(design.v, params.k, tuple(words))
 
 

@@ -129,13 +129,17 @@ def load_design(path: str | Path) -> DesignDocument:
     return loads_design(Path(path).read_text(encoding="utf-8"))
 
 
+# bit 0 and bit 1 as the digits "0" and "1" of a word written as a string
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def code_to_dict(code: Union[ConstantWeightCode, IndelCode]) -> dict:
     if isinstance(code, ConstantWeightCode):
         return {
             "type": "cw",
             "length": code.length,
             "weight": code.weight,
-            "words": ["".join(str(bit) for bit in w) for w in code.words],
+            "words": [bytes(w).translate(_BIT_DIGITS).decode() for w in code.words],
         }
     return {
         "type": "indel",

@@ -32,27 +32,45 @@ allows cap nodes the answer is returned at once, and nothing more is drawn.
 Otherwise the rest of the pool is drawn and the search runs from the root,
 so every result, down to its node and cut counts, is the search's own.
 
-The one bounding rule is a capacity bound, one code for both searches.
-Every block added below a node comes from its child level, the candidates
-that node leaves admissible, so it uses only units in the child level's
-union `reach`, and each unit at most as often as it has uses left: free_j =
-reach & ~planes[j] holds the units with a (j+1)-th use left.  A block uses
-C(k,t) units, so at most sum_j |free_j| // C(k,t) blocks can be added (the
-unit bound).  A block through point x uses the C(k-1,t-1) units of its own
-that contain x, all in star[x], the mask of the units holding x; so at most
-floor(sum_j |free_j & star[x]| / C(k-1,t-1)) added blocks pass through x,
-and as every block has k points, at most the sum of these floors over x,
-divided by k and floored (the point bound).  The point bound is never above
-the unit bound: without the floors the point sum is t * sum_j |free_j| /
-C(k-1,t-1), and k * C(k-1,t-1) = t * C(k,t).  A node whose chosen blocks
-plus either bound cannot pass best_n is cut with its subtree; it still
-counts as a visited node.  A cut subtree holds no design above best_n, and
-one at best_n would come after the best already found, so every certified
-value keeps its witness, the first design found with the best count.  At
-best_n = len(chosen) nothing is tested: a non-empty child level holds a
-block whose k points each give at least 1, so the point bound is at least
-1.  The stars are built when the unit bound first fails to cut, so a
-search that meets its cap on the first descent never builds them.
+The one bounding rule is a capacity bound, one code for both searches,
+tested before each sibling of a level on the candidates the level has left.
+A level belongs to a node with d chosen blocks and unit planes P, and holds
+the candidates that node leaves admissible, in order.  Below the parent,
+the siblings from position p on choose a first added block from level[p:],
+and every later block from a child level, which keeps only candidates of
+its own level at or after the one chosen; so every block they add lies in
+level[p:], and uses only units in its union `reach` = suffix[p], each at
+most as often as it has uses left under P: free_j = reach & ~planes[j]
+holds the units with a (j+1)-th use left.  A block uses C(k,t) units, so at
+most sum_j |free_j| // C(k,t) blocks can be added (the unit bound).  A
+block through point x uses the C(k-1,t-1) units of its own that contain x,
+all in star[x], the mask of the units holding x; so at most floor(sum_j
+|free_j & star[x]| / C(k-1,t-1)) added blocks pass through x, and as every
+block has k points, at most the sum of these floors over x, divided by k
+and floored (the point bound).  The point bound is never above the unit
+bound: without the floors the point sum is t * sum_j |free_j| / C(k-1,t-1),
+and k * C(k-1,t-1) = t * C(k,t).  When d plus either bound cannot pass
+best_n, every sibling left is skipped with that one test.  At p = 0 the
+test is the node's child-level test: it sees the whole child level, right
+after the node was visited.
+
+The traversal order is the order without the bound, and a skipped subtree
+holds no design above best_n, so when the search reaches a node, best_n is
+the best count among all the designs before it in that order, whichever
+subtrees were skipped.  A design at best_n in a skipped subtree would come
+after the best already found, so every certified value keeps its witness,
+the first design found with the best count.  A node this search visits
+passed, at position 0 of each level on its path, the test that testing once
+per child level makes at the same best_n, so that search visits it too: the
+visited nodes are a subsequence of its own, and a value it certifies is
+reached in no more nodes, while a node budget takes this search no less far
+along the order.  At best_n = d nothing is tested: a non-empty suffix holds
+a block, admissible under P, whose k points each give at least 1, so the
+point bound is at least 1.  Each level's suffix unions come from one pass
+as it is built, and a test with the reach and best_n of the last one made
+at its level is skipped, as that one did not cut.  The stars are built when
+the unit bound first fails to cut, so a search that meets its cap on the
+first descent never builds them.
 
 The cap is the least classical bound; the counting prunes on the chosen
 blocks alone never cut below it.  Write lam for the multiplicity of the
@@ -73,7 +91,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
 
@@ -113,7 +131,7 @@ class SearchResult(NamedTuple):
     witness: Design
     certificate: str
     nodes: int = 0  # nodes visited, the unit the node budget counts
-    cuts: int = 0  # visited nodes whose subtree the capacity bound cut
+    cuts: int = 0  # capacity tests that cut a child level or the siblings left in one
     candidates: int = 0  # candidates drawn from the pool
 
 
@@ -131,9 +149,10 @@ def _search(
     index-nondecreasing (one canonical order per multiset of blocks), and
     the search is rooted at candidate 0, which any design can be relabeled
     to contain.  cut(reach, planes, room) is the capacity bound's test that
-    no more than room blocks fit.  Returns the best count, its candidate
-    indices, the certificate, the number of nodes visited and the number of
-    them whose subtree the bound cut.
+    no more than room blocks fit; it is made before each sibling, and a cut
+    skips the siblings left.  Returns the best count, its candidate indices,
+    the certificate, the number of nodes visited and the number of tests
+    that cut.
     """
     budget = cfg.node_budget
     chosen: list[int] = []
@@ -141,9 +160,13 @@ def _search(
     best_n = nodes = cuts = 0
     certificate = OPTIMAL
     # The open levels, innermost last: each holds the candidates admissible
-    # there, the end and next position of its loop, and its unit planes,
-    # where planes[j] holds the units used more than j times.
+    # there, the union of their masks from each position on, the reach and
+    # best_n of its last capacity test, the end and next position of its
+    # loop, and its unit planes, where planes[j] holds the units used more
+    # than j times.  The root level is never tested.
     level = list(range(len(masks)))
+    suffix: list[int] = []
+    tested = None
     end, pos, planes = 1, 0, [0] * unit_cap
     stack = []
     while True:
@@ -151,8 +174,15 @@ def _search(
             if not stack:
                 break
             chosen.pop()
-            level, end, pos, planes = stack.pop()
+            level, suffix, tested, end, pos, planes = stack.pop()
             continue
+        # a test that repeats the last one made at this level would not cut
+        if len(chosen) < best_n and (suffix[pos], best_n) != tested:
+            if cut(suffix[pos], planes, best_n - len(chosen)):
+                cuts += 1
+                pos = end
+                continue
+            tested = (suffix[pos], best_n)
         if nodes == budget:
             certificate = BUDGET_EXHAUSTED
             break
@@ -177,13 +207,10 @@ def _search(
         if not children:
             chosen.pop()
             continue
-        if len(chosen) < best_n and cut(
-            reduce(or_, map(masks.__getitem__, children)), added, best_n - len(chosen)
-        ):
-            cuts += 1
-            chosen.pop()
-            continue
-        stack.append((level, end, pos, planes))
+        stack.append((level, suffix, tested, end, pos, planes))
+        tested = None
+        suffix = list(accumulate(map(masks.__getitem__, reversed(children)), or_))
+        suffix.reverse()
         level, end, pos, planes = children, len(children), 0, added
     return best_n, best, certificate, nodes, cuts
 
@@ -303,7 +330,7 @@ def _capacity_cut(
     wide_stars: list[int] = []
 
     def cut(reach: int, planes: list[int], room: int) -> bool:
-        # the children miss the top plane, so all of reach is free there
+        # the candidates miss the top plane, so all of reach is free there
         wide = reach
         for plane in planes[:-1]:
             wide = wide << width | reach & ~plane

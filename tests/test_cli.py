@@ -16,7 +16,7 @@ from packings import (
     pdn_exact,
     save_design,
 )
-from packings.bounds import VIA_UNDIRECTED, bound_candidates
+from packings.bounds import VIA_UNDIRECTED, bound_candidates, least_bound
 from packings.cli import main
 from packings.io import dumps_design, load_design
 from packings.io import DesignDocument
@@ -405,6 +405,28 @@ class TestTable:
             else:
                 assert exact.value is None
                 assert int(value) == best_upper_bound(params).value
+
+    def test_rows_match_the_selection_over_every_candidate(self, capsys):
+        # each row is the first exact report of bound_candidates, or else its least bound
+        for t in (1, 2, 3, 4):
+            for lam in (1, 2, 3, 7):
+                code, out, _ = run(
+                    capsys,
+                    "table", "--v-min", "3", "--v-max", "40", "--k-min", "1", "--k-max", "14",
+                    "--t", str(t), "--lambda", str(lam), "--tsv",
+                )
+                assert code == 0
+                rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+                expected = []
+                for v in range(3, 41):
+                    for k in range(t, min(14, v) + 1):
+                        params = DesignParams(v, k, t, lam)
+                        reports = bound_candidates(params)
+                        best = next((r for r in reports if r.exact), None)
+                        best = best or least_bound(params, reports)
+                        kind = "exact" if best.exact else "upper"
+                        expected.append([str(v), str(k), str(best.value), kind, best.provenance])
+                assert rows == expected, (t, lam)
 
     def test_exact_cells_match_oracle(self, capsys):
         code, out, _ = run(

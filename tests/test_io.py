@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -141,6 +143,27 @@ class TestCodeFiles:
         assert data["type"] == "cw"
         assert data["words"][0] == "111000"  # leftmost character is point 0
         assert load_code(path) == code
+
+    def test_constant_weight_words_match_the_per_bit_form(self):
+        # words and files as when each bit was built and written one at a time
+        rng = random.Random(7)
+        for _ in range(60):
+            v = rng.randrange(3, 40)
+            k = rng.randrange(2, min(v, 8) + 1)
+            blocks, pairs = [], set()
+            for _ in range(rng.randrange(1, 30)):
+                block = tuple(sorted(rng.sample(range(v), k)))
+                if pairs.isdisjoint(combinations(block, 2)):
+                    pairs.update(combinations(block, 2))
+                    blocks.append(block)
+            code = to_constant_weight(PackingDesign(v, tuple(blocks)), DesignParams(v, k, 2, 1))
+            words = [tuple(1 if x in block else 0 for x in range(v)) for block in blocks]
+            assert list(code.words) == words
+            texts = ["".join(str(bit) for bit in w) for w in words]
+            assert code_to_dict(code)["words"] == texts
+            assert dumps_code(code) == json.dumps(
+                {"type": "cw", "length": v, "weight": k, "words": texts}
+            ) + "\n"
 
     def test_indel_round_trip(self, tmp_path, directed_6_4):
         code = to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1))

@@ -65,16 +65,19 @@ class _Done(Exception):
 
 def reference_search(
     v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg, symmetry=True,
-    bound=True,
+    bound=True, sibling=True,
 ):
     """The per-unit counting engine the bitset engine replaced, kept as its reference.
 
     At every node it recomputes the reach prune from per-point frequencies
     and pair capacities and checks the convexity test, and each level
     rescans the saturated candidates.  With bound set it also applies the
-    capacity bound, counted unit by unit.  With symmetry set it roots the
-    search at candidate 0, as the engine does.  Returns (n, candidate
-    indices, certificate, nodes visited, nodes cut by the capacity bound).
+    capacity bound, counted unit by unit: with sibling set, before each
+    admissible candidate of a loop, on the candidates admissible from it
+    on, and a cut ends the loop; otherwise (the earlier rule) once after
+    choosing a candidate, on its child level.  With symmetry set it roots
+    the search at candidate 0, as the engine does.  Returns (n, candidate
+    indices, certificate, nodes visited, capacity tests that cut).
     """
     per_block = len(cand_subs[0])
     r_div = choose(k - 1, t - 1)
@@ -133,6 +136,9 @@ def reference_search(
             subs = cand_subs[idx]
             if any(counts[s] >= unit_cap for s in subs):
                 continue
+            if bound and sibling and c < best_n and capacity_cut(idx, c):
+                cuts += 1
+                break
             nodes += 1
             if cfg.node_budget is not None and nodes > cfg.node_budget:
                 raise _Budget
@@ -155,7 +161,7 @@ def reference_search(
             if c + 1 < bound_cap:
                 reach = min(c + 1 + extra_bound(), bound_cap)
                 if reach > best_n and s_conv <= (t - 1) * choose(reach, shadow_lam + 1):
-                    if bound and c + 1 < best_n and capacity_cut(idx, c + 1):
+                    if bound and not sibling and c + 1 < best_n and capacity_cut(idx, c + 1):
                         cuts += 1
                     else:
                         dfs(idx, c + 1)
@@ -182,25 +188,25 @@ def reference_search(
     return best_n, best, certificate, nodes, cuts
 
 
-def reference_pdn(params, cfg, symmetry=True, bound=True):
+def reference_pdn(params, cfg, symmetry=True, bound=True, sibling=True):
     v, k, t, lam = params.v, params.k, params.t, params.lam
     cands = list(combinations(range(v), k))
     sub_ids = {s: i for i, s in enumerate(combinations(range(v), t))}
     cand_subs = [tuple(sub_ids[s] for s in combinations(c, t)) for c in cands]
     cap = best_upper_bound(params, include_exact=False).value
     n, best, certificate, nodes, cuts = reference_search(
-        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry, bound
+        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry, bound, sibling
     )
     return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
 
-def reference_dpdn(v, k, cfg, symmetry=True, bound=True):
+def reference_dpdn(v, k, cfg, symmetry=True, bound=True, sibling=True):
     cands = list(permutations(range(v), k))
     pair_ids = {p: i for i, p in enumerate(permutations(range(v), 2))}
     cand_subs = [tuple(pair_ids[p] for p in combinations(c, 2)) for c in cands]
     cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
     n, best, certificate, nodes, cuts = reference_search(
-        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry, bound
+        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry, bound, sibling
     )
     return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
@@ -246,8 +252,9 @@ class TestSearchEngine:
         assert (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts) == reference_dpdn(6, 3, cfg)
 
     def test_exhausted_budget_is_the_node_count(self):
+        # (12,3,2,1) is certified in 854 nodes; (10,3,2,2) exhausts even 120k
         for budget in (1, 5, 1000):
-            result = pdn_exact(DesignParams(12, 3, 2, 1), SearchConfig(node_budget=budget))
+            result = pdn_exact(DesignParams(10, 3, 2, 2), SearchConfig(node_budget=budget))
             assert result.certificate == BUDGET_EXHAUSTED
             assert result.nodes == budget
 
@@ -420,6 +427,40 @@ class TestCapacityBound:
     def test_results_without_cuts_still_build(self):
         result = SearchResult(1, PackingDesign(3, ((0, 1, 2),)), OPTIMAL)
         assert (result.nodes, result.cuts, result.candidates) == (0, 0, 0)
+
+
+class TestSiblingCut:
+    """Testing the bound before every sibling loses nothing against testing it per child level."""
+
+    def test_agrees_with_the_child_level_rule(self):
+        cfg = SearchConfig(node_budget=16_000)
+        runs = [
+            (pdn_exact(DesignParams(*c), cfg), reference_pdn(DesignParams(*c), cfg, sibling=False))
+            for c in REFERENCE_PDN_CELLS
+        ]
+        runs += [
+            (dpdn_exact(v, k, cfg), reference_dpdn(v, k, cfg, sibling=False))
+            for v, k in REFERENCE_DPDN_CELLS
+        ]
+        compared = fewer = 0
+        for r, (n, blocks, certificate, nodes, _) in runs:
+            if r.certificate == certificate == OPTIMAL:
+                assert (r.n, r.witness.blocks) == (n, blocks)
+                assert r.nodes <= nodes
+                compared += 1
+                fewer += r.nodes < nodes
+            elif certificate == OPTIMAL:
+                raise AssertionError(f"certified by the child-level rule only: {r}")
+            else:
+                assert r.n >= n, r
+        assert (compared, fewer) == (65, 21)
+
+    @pytest.mark.parametrize("cell,limit", [((12, 3, 2, 1), 1_000), ((9, 3, 2, 2), 1_300)])
+    def test_capacity_searches_take_few_nodes(self, cell, limit):
+        # 5,711 and 3,966 nodes when the bound was tested once per child level
+        result = pdn_exact(DesignParams(*cell), SearchConfig(node_budget=120_000))
+        assert result.certificate == OPTIMAL
+        assert result.nodes <= limit, result.nodes
 
 
 def admitted_by_filter(v, k, t, lam, directed):
