@@ -86,9 +86,10 @@ class ConstantWeightCode:
         for w in self.words:
             if len(w) != self.length:
                 raise ValueError(f"word {w} does not have length {self.length}")
-            if not set(w) <= {0, 1}:
+            ones = w.count(1)
+            if w.count(0) + ones != self.length:
                 raise ValueError(f"word {w} is not binary")
-            if sum(w) != self.weight:
+            if ones != self.weight:
                 raise ValueError(f"word {w} does not have weight {self.weight}")
         if len(set(self.words)) != len(self.words):
             raise ValueError("code words must be distinct")

@@ -1,10 +1,12 @@
 """Exact search for packing and directed packing numbers on small instances.
 
-Depth-first search over candidate blocks in lexicographic order, which
-stops early only at its cap or its node budget and cuts only the subtrees
-that a capacity bound shows cannot beat the best design found.  The cap is
-the least classical bound, never taken from the exact-value windows, so an
-"optimal" certificate is independent ground truth for them.
+Depth-first search over candidate blocks in lexicographic order, for the
+cap first: after a first descent, it runs rounds at a falling target, each
+of which cuts only the subtrees that a capacity bound shows cannot reach
+its target, and stops at the first round that reaches its target, at the
+first descent when every round exhausts its tree, or at its node budget.
+The cap is the least classical bound, never taken from the exact-value
+windows, so an "optimal" certificate is independent ground truth for them.
 
 Each candidate is one int mask over the coverage units (t-sets, or ordered
 t-tuples in the directed case).  The unit counts of the chosen blocks are
@@ -20,57 +22,84 @@ prefix that meets the root's units is cut with its subtree.  POOL_LIMIT and
 MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything is
 drawn.
 
-The search's first descent is taken while the pool is drawn.  Along it
-len(chosen) == best_n, so no bound is tested, and at every depth the search
-takes the first candidate, at or after the current one, that misses the top
-plane; at lam >= 2 that may be the current one again.  Planes change only
-when a candidate is chosen, so testing each candidate against the planes as
-it is drawn, and choosing it while it stays admissible, picks the same
-blocks.  When that descent meets the cap, the search would stop there with
-cap nodes, no cut and these blocks as its witness; so when the node budget
-allows cap nodes the answer is returned at once, and nothing more is drawn.
-Otherwise the rest of the pool is drawn and the search runs from the root,
-so every result, down to its node and cut counts, is the search's own.
+The search tree holds the index-nondecreasing block sequences that start
+at the root, children in candidate order; the search order is its
+depth-first order, which among sequences of one length is lexicographic.
+So the first design of each size in that order is the lexicographically
+least one that contains the root.  A candidate is chosen only when its
+fresh points come in order: if the chosen blocks use the points {0, ...,
+u-1} (the root uses {0, ..., k-1}, and the rule keeps it so), the
+candidate's points from u on must be u, u+1, ... with no gap, which is
+p & (p + 1) == 0 for its point mask p shifted right by u.  Child levels
+still inherit every admissible candidate, as one refused now may be
+allowed deeper, so the reach of a capacity test stays the union of the
+admissible candidates.  The rule loses no first design.  Suppose the
+first n-block design skips, in its first i blocks, a fresh point a < b,
+with b new in block i.  Swapping a and b fixes blocks 1 to i-1, the root
+among them, which miss both, and lowers block i; so the swapped design has
+at least i blocks below block i, and sorted, it comes first: a
+contradiction.  The argument holds for ordered tuples and for repeated
+blocks.  So every first design lies in the tree with the rule, and the
+rule changes no witness.
+
+The first descent is the search order's first path: at every depth it
+takes the first candidate, at or after the current one, that misses the
+top plane (at lam >= 2 that may be the current one again), so its d0
+blocks are the first d0-block design, and by the argument above it obeys
+the fresh rule.  It is taken while the pool is drawn, when the node budget
+allows cap nodes: planes change only when a candidate is chosen, so
+testing each candidate against the planes as it is drawn, and choosing it
+while it stays admissible, picks the same blocks.  When it meets the cap,
+the round at the cap below would walk this path and nothing else, as a
+subtree that holds a cap-block design is never cut; so its blocks are the
+answer, with cap nodes and no cut, and nothing more is drawn.  Otherwise
+it visits no node of the search: it sets the lowest target, and it is a
+design to answer with.
+
+Then the rest of the pool is drawn and rounds run at the targets T = cap,
+cap - 1, ..., d0 + 1 (d0 = 0 when no descent was taken).  Each round
+searches the tree with its best count seeded at T - 1, so it tests the
+capacity bound against T - 1 and stops at the first node with T blocks.
+A skipped subtree holds no T-block design, so that node is the first
+T-block design in the search order, which is the witness a search from
+best count 0 returns when the optimum is T.  A round that exhausts its
+tree proves that no T-block design exists, and the next round starts; when
+the round at d0 + 1 exhausts its tree, the first descent is optimal, and
+it is the first d0-block design.  The rounds share one node budget, each
+running on what the earlier ones left, and nodes and cuts are summed over
+them.  When the budget runs out, the answer is the larger of the first
+descent and the first node visited at the greatest depth in any round, the
+earlier on a tie; the chosen blocks at every node form a packing.  Rounds
+cost nodes as well as saving them: when the optimum is below the cap,
+every round above it walks its tree to the end.
 
 The one bounding rule is a capacity bound, one code for both searches,
-tested before each sibling of a level on the candidates the level has left.
-A level belongs to a node with d chosen blocks and unit planes P, and holds
-the candidates that node leaves admissible, in order.  Below the parent,
-the siblings from position p on choose a first added block from level[p:],
-and every later block from a child level, which keeps only candidates of
-its own level at or after the one chosen; so every block they add lies in
-level[p:], and uses only units in its union `reach` = suffix[p], each at
-most as often as it has uses left under P: free_j = reach & ~planes[j]
-holds the units with a (j+1)-th use left.  A block uses C(k,t) units, so at
-most sum_j |free_j| // C(k,t) blocks can be added (the unit bound).  A
-block through point x uses the C(k-1,t-1) units of its own that contain x,
-all in star[x], the mask of the units holding x; so at most floor(sum_j
-|free_j & star[x]| / C(k-1,t-1)) added blocks pass through x, and as every
-block has k points, at most the sum of these floors over x, divided by k
-and floored (the point bound).  The point bound is never above the unit
-bound: without the floors the point sum is t * sum_j |free_j| / C(k-1,t-1),
-and k * C(k-1,t-1) = t * C(k,t).  When d plus either bound cannot pass
-best_n, every sibling left is skipped with that one test.  At p = 0 the
-test is the node's child-level test: it sees the whole child level, right
-after the node was visited.
-
-The traversal order is the order without the bound, and a skipped subtree
-holds no design above best_n, so when the search reaches a node, best_n is
-the best count among all the designs before it in that order, whichever
-subtrees were skipped.  A design at best_n in a skipped subtree would come
-after the best already found, so every certified value keeps its witness,
-the first design found with the best count.  A node this search visits
-passed, at position 0 of each level on its path, the test that testing once
-per child level makes at the same best_n, so that search visits it too: the
-visited nodes are a subsequence of its own, and a value it certifies is
-reached in no more nodes, while a node budget takes this search no less far
-along the order.  At best_n = d nothing is tested: a non-empty suffix holds
+tested before each sibling of a level, on the candidates the level has
+left, whenever fewer than T - 1 blocks are chosen.  A level belongs to a
+node with d chosen blocks and unit planes P, and holds the candidates that
+node leaves admissible, in order; the root's level is the whole pool.
+Below the parent, the siblings from position p on choose a first added
+block from level[p:], and every later block from a child level, which
+keeps only candidates of its own level at or after the one chosen; so
+every block they add lies in level[p:], and uses only units in its union
+`reach` = suffix[p], each at most as often as it has uses left under P:
+free_j = reach & ~planes[j] holds the units with a (j+1)-th use left.  A
+block uses C(k,t) units, so at most sum_j |free_j| // C(k,t) blocks can be
+added (the unit bound).  A block through point x uses the C(k-1,t-1) units
+of its own that contain x, all in star[x], the mask of the units holding
+x; so at most floor(sum_j |free_j & star[x]| / C(k-1,t-1)) added blocks
+pass through x, and as every block has k points, at most the sum of these
+floors over x, divided by k and floored (the point bound).  The point
+bound is never above the unit bound: without the floors the point sum is
+t * sum_j |free_j| / C(k-1,t-1), and k * C(k-1,t-1) = t * C(k,t).  When d
+plus either bound cannot pass T - 1, every sibling left is skipped with
+that one test.  With d = T - 1 nothing is tested: a non-empty suffix holds
 a block, admissible under P, whose k points each give at least 1, so the
-point bound is at least 1.  Each level's suffix unions come from one pass
-as it is built, and a test with the reach and best_n of the last one made
-at its level is skipped, as that one did not cut.  The stars are built when
-the unit bound first fails to cut, so a search that meets its cap on the
-first descent never builds them.
+point bound is at least 1.  Within a round the seed is fixed, so a test
+with the reach of the last one made at its level is skipped, as that one
+did not cut.  Each level's suffix unions come from one pass as it is
+built.  The stars are built when the unit bound first fails to cut, so a
+search that meets its cap on the first descent never builds them.
 
 The cap is the least classical bound; the counting prunes on the chosen
 blocks alone never cut below it.  Write lam for the multiplicity of the
@@ -91,6 +120,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
@@ -130,71 +160,79 @@ class SearchResult(NamedTuple):
     n: int
     witness: Design
     certificate: str
-    nodes: int = 0  # nodes visited, the unit the node budget counts
-    cuts: int = 0  # capacity tests that cut a child level or the siblings left in one
+    nodes: int = 0  # nodes visited over all rounds, the unit the node budget counts
+    cuts: int = 0  # capacity tests over all rounds that cut the siblings left in a level
     candidates: int = 0  # candidates drawn from the pool
 
 
 def _search(
     masks: list[int],
+    points: list[int],
     unit_cap: int,
-    bound_cap: int,
-    cfg: SearchConfig,
+    target: int,
+    budget: int | None,
     cut: Callable[[int, list[int], int], bool],
-) -> tuple[int, list[int], str, int, int]:
-    """Depth-first engine over precomputed candidate blocks.
+) -> tuple[list[int], bool, int, int]:
+    """One seeded round: depth-first search for a design of target blocks.
 
-    Candidate i covers the coverage units set in masks[i]; each unit may be
-    used at most unit_cap times.  Block sequences are kept
-    index-nondecreasing (one canonical order per multiset of blocks), and
-    the search is rooted at candidate 0, which any design can be relabeled
-    to contain.  cut(reach, planes, room) is the capacity bound's test that
-    no more than room blocks fit; it is made before each sibling, and a cut
-    skips the siblings left.  Returns the best count, its candidate indices,
-    the certificate, the number of nodes visited and the number of tests
+    Candidate i covers the coverage units set in masks[i] and the points set
+    in points[i]; each unit may be used at most unit_cap times.  Block
+    sequences are kept index-nondecreasing (one canonical order per multiset
+    of blocks), the search is rooted at candidate 0, which any design can be
+    relabeled to contain, and a candidate is chosen only when its fresh
+    points come in order.  The best count is seeded at target - 1, so
+    cut(reach, planes, room), the capacity bound's test that no more than
+    room blocks fit, is made before each sibling below that depth, and a
+    cut skips the siblings left.  At most budget nodes are visited (None:
+    no limit).  Returns the candidate indices of the first node visited at
+    the greatest depth (target blocks when the round reaches it), whether
+    the budget ran out, the number of nodes visited and the number of tests
     that cut.
     """
-    budget = cfg.node_budget
+    seed = target - 1
     chosen: list[int] = []
-    best: list[int] = []
-    best_n = nodes = cuts = 0
-    certificate = OPTIMAL
+    deepest: list[int] = []
+    nodes = cuts = 0
     # The open levels, innermost last: each holds the candidates admissible
-    # there, the union of their masks from each position on, the reach and
-    # best_n of its last capacity test, the end and next position of its
-    # loop, and its unit planes, where planes[j] holds the units used more
-    # than j times.  The root level is never tested.
+    # there, the union of their masks from each position on, the reach of
+    # its last capacity test, the end and next position of its loop, its
+    # unit planes, where planes[j] holds the units used more than j times,
+    # and the number of points its node uses.  The root level reaches every
+    # candidate.
     level = list(range(len(masks)))
-    suffix: list[int] = []
+    suffix = [reduce(or_, masks)]
     tested = None
-    end, pos, planes = 1, 0, [0] * unit_cap
+    end, pos, planes, used = 1, 0, [0] * unit_cap, 0
     stack = []
     while True:
         if pos == end:
             if not stack:
-                break
+                return deepest, False, nodes, cuts
             chosen.pop()
-            level, suffix, tested, end, pos, planes = stack.pop()
+            level, suffix, tested, end, pos, planes, used = stack.pop()
             continue
-        # a test that repeats the last one made at this level would not cut
-        if len(chosen) < best_n and (suffix[pos], best_n) != tested:
-            if cut(suffix[pos], planes, best_n - len(chosen)):
+        idx = level[pos]
+        # the points from `used` on must be used, used + 1, ... in turn
+        fresh = points[idx] >> used
+        if fresh & (fresh + 1):
+            pos += 1
+            continue
+        # a test with the reach of the last one made at this level would not cut
+        if len(chosen) < seed and suffix[pos] != tested:
+            if cut(suffix[pos], planes, seed - len(chosen)):
                 cuts += 1
                 pos = end
                 continue
-            tested = (suffix[pos], best_n)
+            tested = suffix[pos]
         if nodes == budget:
-            certificate = BUDGET_EXHAUSTED
-            break
+            return deepest, True, nodes, cuts
         nodes += 1
-        idx = level[pos]
         pos += 1
         chosen.append(idx)
-        if len(chosen) > best_n:
-            best_n = len(chosen)
-            best = chosen.copy()
-            if best_n >= bound_cap:
-                break
+        if len(chosen) > len(deepest):
+            deepest = chosen.copy()
+            if len(chosen) == target:
+                return deepest, False, nodes, cuts
         carry = masks[idx]
         added = []
         for plane in planes:
@@ -207,12 +245,12 @@ def _search(
         if not children:
             chosen.pop()
             continue
-        stack.append((level, suffix, tested, end, pos, planes))
+        stack.append((level, suffix, tested, end, pos, planes, used))
         tested = None
         suffix = list(accumulate(map(masks.__getitem__, reversed(children)), or_))
         suffix.reverse()
         level, end, pos, planes = children, len(children), 0, added
-    return best_n, best, certificate, nodes, cuts
+        used += fresh.bit_length()
 
 
 def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
@@ -349,9 +387,8 @@ def _capacity_cut(
     return cut
 
 
-def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
-    """The shared search: one mask per candidate block, capped by the classical bounds."""
-    v, k, t, lam = params.v, params.k, params.t, params.lam
+def _check_limits(v: int, k: int, t: int, directed: bool) -> None:
+    """Refuse a pool past POOL_LIMIT, or a mask table past MASK_BITS_LIMIT, before drawing it."""
     what = "ordered blocks" if directed else "blocks"
     (pool, pool_text), (n_units, units_text) = _count(v, k, directed), _count(v, t, directed)
     if pool > POOL_LIMIT:
@@ -359,12 +396,23 @@ def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) ->
     if pool * n_units > MASK_BITS_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
                          f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
+
+
+def _point_masks(cands: list[tuple[int, ...]]) -> list[int]:
+    """Each candidate's points, as a mask for the fresh-point test."""
+    return [sum(1 << x for x in cand) for cand in cands]
+
+
+def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
+    """The shared search: one mask per candidate block, capped by the classical bounds."""
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    _check_limits(v, k, t, directed)
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
-    cfg = config or SearchConfig()
+    budget = (config or SearchConfig()).node_budget
     design = DirectedPackingDesign if directed else PackingDesign
-    # the search's first descent, taken while drawing: see the module docstring
-    descend = cfg.node_budget is None or cap <= cfg.node_budget
-    chosen: list[tuple[int, ...]] = []
+    # the first descent, taken while drawing: see the module docstring
+    descend = budget is None or cap <= budget
+    descent: list[tuple[int, ...]] = []
     planes = [0] * lam
     cands: list[tuple[int, ...]] = []
     masks: list[int] = []
@@ -372,17 +420,30 @@ def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) ->
         cands.append(cand)
         masks.append(mask)
         while descend and not mask & planes[-1]:
-            chosen.append(cand)
-            if len(chosen) == cap:
-                return SearchResult(cap, design(v, tuple(chosen)), OPTIMAL, cap, 0, len(cands))
+            descent.append(cand)
+            if len(descent) == cap:
+                return SearchResult(cap, design(v, tuple(descent)), OPTIMAL, cap, 0, len(cands))
             carry = mask
             for j, plane in enumerate(planes):
                 planes[j] = plane | carry
                 carry &= plane
+    # rounds at a falling target, on the budget the earlier ones left
+    points = _point_masks(cands)
     cut = _capacity_cut(v, k, t, directed)
-    best_n, best, certificate, nodes, cuts = _search(masks, lam, cap, cfg, cut)
-    witness = design(v, tuple(cands[i] for i in best))
-    return SearchResult(best_n, witness, certificate, nodes, cuts, len(cands))
+    best, certificate, nodes, cuts = descent, OPTIMAL, 0, 0
+    for target in range(cap, len(descent), -1):
+        left = None if budget is None else budget - nodes
+        deepest, spent, round_nodes, round_cuts = _search(masks, points, lam, target, left, cut)
+        nodes += round_nodes
+        cuts += round_cuts
+        if len(deepest) == target or len(deepest) > len(best):
+            best = [cands[i] for i in deepest]
+        if spent:
+            certificate = BUDGET_EXHAUSTED
+            break
+        if len(deepest) == target:
+            break
+    return SearchResult(len(best), design(v, tuple(best)), certificate, nodes, cuts, len(cands))
 
 
 def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> SearchResult:
@@ -420,9 +481,11 @@ def certify_optimal(
 ) -> bool:
     """True when the design's block count provably equals the packing number.
 
-    A match against the best upper bound settles it immediately; otherwise
-    the exact search decides, and an inconclusive (budget-limited) search
-    reports False.
+    A match against the best upper bound settles it immediately.  Otherwise
+    one round of the exact search, at target n + 1 with the best count
+    seeded at n, decides: a round that exhausts its tree proves that no
+    design has n + 1 blocks, one that reaches n + 1 shows n is not optimal,
+    and a round that runs out of budget reports False.
     """
     require_valid(design, params)
     directed = isinstance(design, DirectedPackingDesign)
@@ -431,5 +494,10 @@ def certify_optimal(
         return True
     if directed and (params.t, params.lam) != (2, 1):
         return False
-    result = _exact(params, directed, config)
-    return result.certificate == OPTIMAL and result.n == n
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    _check_limits(v, k, t, directed)
+    cands, masks = zip(*_pool(v, k, t, lam, directed))
+    cut = _capacity_cut(v, k, t, directed)
+    budget = (config or SearchConfig()).node_budget
+    deepest, spent, _, _ = _search(list(masks), _point_masks(cands), lam, n + 1, budget, cut)
+    return not spent and len(deepest) <= n

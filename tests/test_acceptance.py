@@ -71,6 +71,25 @@ def oracle_sweep():
     return results, time.time() - start
 
 
+# Optima PDN_lam(v, 3..6, 2) on the grid that the exact search certifies at
+# the acceptance budget by rounds at a falling target, keyed by (v, k, lam).
+# (9,4,2) = 10 lies below its classical cap of 11.
+NEW_EXACT = {
+    (10, 3, 2): 30, (11, 3, 2): 36, (10, 4, 2): 15, (11, 4, 2): 16,
+    (11, 5, 2): 11, (12, 6, 2): 8, (9, 4, 2): 10,
+}
+
+
+def test_oracle_sweep_certifies_the_new_values(oracle_sweep):
+    results, _ = oracle_sweep
+    certified = sum(oracle.certificate == OPTIMAL for _, oracle, _ in results.values())
+    assert certified >= 65, certified
+    for cell, n in NEW_EXACT.items():
+        params, oracle, _ = results[cell]
+        assert (oracle.n, oracle.certificate, len(oracle.witness.blocks)) == (n, OPTIMAL, n), cell
+        assert validate_packing(oracle.witness, params).valid, cell
+
+
 def test_criterion_1_golden_designs_validate():
     start = time.time()
     triple = PackingDesign(6, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)))

@@ -144,6 +144,26 @@ class TestConstantWeight:
         with pytest.raises(ValueError, match="distinct"):
             ConstantWeightCode(4, 2, ((1, 1, 0, 0), (1, 1, 0, 0)))
 
+    @pytest.mark.parametrize(
+        "words,message",
+        [
+            (((1, 1, 0),), "word (1, 1, 0) does not have length 4"),
+            (((2, 0, 0),), "word (2, 0, 0) does not have length 4"),  # length is checked first
+            (((2, 0, 0, 0),), "word (2, 0, 0, 0) is not binary"),  # though its sum is the weight
+            (((1, 1, 0, 0.5),), "word (1, 1, 0, 0.5) is not binary"),
+            (((1, 1, 1, 0),), "word (1, 1, 1, 0) does not have weight 2"),
+            ([[0, 0, 1, 1], [0, 0, 1, 0]], "word (0, 0, 1, 0) does not have weight 2"),
+            (((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)), "word (1, 1, 1, 0) does not have weight 2"),
+            (((0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 1, 0)), "code words must be distinct"),
+        ],
+    )
+    def test_word_checks_name_the_fault(self, words, message):
+        # each word is checked for length, then binary entries, then weight,
+        # and the code for distinct words only after every word passed
+        with pytest.raises(ValueError) as info:
+            ConstantWeightCode(4, 2, words)
+        assert str(info.value) == message
+
     def test_window_design_distance(self):
         from packings import construct_optimal
 

@@ -65,7 +65,7 @@ class _Done(Exception):
 
 def reference_search(
     v, k, t, unit_cap, shadow_lam, cands, cand_subs, n_subs, bound_cap, cfg, symmetry=True,
-    bound=True, sibling=True,
+    bound=True, sibling=True, seeded=True, fresh=True,
 ):
     """The per-unit counting engine the bitset engine replaced, kept as its reference.
 
@@ -73,11 +73,23 @@ def reference_search(
     and pair capacities and checks the convexity test, and each level
     rescans the saturated candidates.  With bound set it also applies the
     capacity bound, counted unit by unit: with sibling set, before each
-    admissible candidate of a loop, on the candidates admissible from it
-    on, and a cut ends the loop; otherwise (the earlier rule) once after
-    choosing a candidate, on its child level.  With symmetry set it roots
-    the search at candidate 0, as the engine does.  Returns (n, candidate
-    indices, certificate, nodes visited, capacity tests that cut).
+    candidate of a loop that may be chosen, on the candidates admissible
+    from it on, and a cut ends the loop; otherwise (the earlier rule) once
+    after choosing a candidate, on its child level.  With symmetry set it
+    roots the search at candidate 0, as the engine does.  With fresh set a
+    candidate may be chosen only when its points beyond those the chosen
+    blocks use are the next ones in order.  With seeded set, when the budget
+    allows bound_cap nodes, it takes the first descent (the first admissible
+    candidate at or after the last, at every depth), which answers with
+    bound_cap nodes when it meets bound_cap and is not counted otherwise;
+    then it runs one search per target from bound_cap down to one above the
+    descent, with the best count at target - 1, all on one node budget: a
+    round that reaches its target answers with that node, a spent budget
+    with the first node visited at the greatest depth (the descent's end
+    included), and when every round exhausts its tree the descent answers.
+    Otherwise it runs one search from best count 0, the earlier rule.
+    Returns (n, candidate indices, certificate, nodes visited, capacity
+    tests that cut).
     """
     per_block = len(cand_subs[0])
     r_div = choose(k - 1, t - 1)
@@ -92,8 +104,8 @@ def reference_search(
     cand_points = [tuple(sorted(set(c))) for c in cands]
 
     chosen = []
-    best_n = 0
-    best = []
+    deepest = []
+    best_n, target = 0, bound_cap
     used = 0
     s_conv = 0
     nodes = cuts = 0
@@ -113,13 +125,18 @@ def reference_search(
         extra = room // k
         return min(extra, (total_units - used) // per_block)
 
+    def admissible(idx):
+        return all(counts[s] < unit_cap for s in cand_subs[idx])
+
+    def in_order(idx, u):
+        # the points the chosen blocks use are 0, ..., u - 1
+        new = [x for x in cand_points[idx] if x >= u]
+        return not fresh or new == list(range(u, u + len(new)))
+
     def capacity_cut(start, c):
         # the uses left on each unit the admissible candidates from start
         # reach, summed per point; no cut when none is admissible
-        children = [
-            j for j in range(start, len(cands))
-            if all(counts[s] < unit_cap for s in cand_subs[j])
-        ]
+        children = [j for j in range(start, len(cands)) if admissible(j)]
         if not children:
             return False
         reached = {s for j in children for s in cand_subs[j]}
@@ -129,84 +146,116 @@ def reference_search(
                 left[x] += unit_cap - counts[s]
         return c + sum(n // r_div for n in left) // k <= best_n
 
-    def dfs(start, c):
-        nonlocal best_n, best, used, s_conv, nodes, cuts
+    def visit(idx):
+        # count a node and choose its candidate; True when it reaches the target
+        nonlocal nodes
+        nodes += 1
+        if cfg.node_budget is not None and nodes > cfg.node_budget:
+            raise _Budget
+        return choose_block(idx)
+
+    def choose_block(idx):
+        nonlocal best_n, deepest, used, s_conv
+        for s in cand_subs[idx]:
+            counts[s] += 1
+        used += per_block
+        for x in cand_points[idx]:
+            s_conv += conv_step[freq[x]]
+            freq[x] += 1
+        if pair_cap is not None:
+            for x in cand_points[idx]:
+                pair_cap[x] -= k - 1
+        chosen.append(idx)
+        if len(chosen) > len(deepest):
+            deepest = chosen.copy()
+        best_n = max(best_n, len(chosen))
+        return best_n >= target
+
+    def leave(idx):
+        nonlocal used, s_conv
+        chosen.pop()
+        if pair_cap is not None:
+            for x in cand_points[idx]:
+                pair_cap[x] += k - 1
+        for x in cand_points[idx]:
+            freq[x] -= 1
+            s_conv -= conv_step[freq[x]]
+        used -= per_block
+        for s in cand_subs[idx]:
+            counts[s] -= 1
+
+    def dfs(start, c, u):
+        nonlocal cuts
         end = 1 if (c == 0 and symmetry) else len(cands)
         for idx in range(start, end):
-            subs = cand_subs[idx]
-            if any(counts[s] >= unit_cap for s in subs):
+            if not admissible(idx) or not in_order(idx, u):
                 continue
             if bound and sibling and c < best_n and capacity_cut(idx, c):
                 cuts += 1
                 break
-            nodes += 1
-            if cfg.node_budget is not None and nodes > cfg.node_budget:
-                raise _Budget
-            for s in subs:
-                counts[s] += 1
-            used += per_block
-            for x in cand_points[idx]:
-                s_conv += conv_step[freq[x]]
-                freq[x] += 1
-            if pair_cap is not None:
-                for x in cand_points[idx]:
-                    pair_cap[x] -= k - 1
-            chosen.append(idx)
-
-            if c + 1 > best_n:
-                best_n = c + 1
-                best = chosen.copy()
-                if best_n >= bound_cap:
-                    raise _Done
-            if c + 1 < bound_cap:
-                reach = min(c + 1 + extra_bound(), bound_cap)
+            if visit(idx):
+                raise _Done
+            if c + 1 < target:
+                reach = min(c + 1 + extra_bound(), target)
                 if reach > best_n and s_conv <= (t - 1) * choose(reach, shadow_lam + 1):
                     if bound and not sibling and c + 1 < best_n and capacity_cut(idx, c + 1):
                         cuts += 1
                     else:
-                        dfs(idx, c + 1)
-
-            chosen.pop()
-            if pair_cap is not None:
-                for x in cand_points[idx]:
-                    pair_cap[x] += k - 1
-            for x in cand_points[idx]:
-                freq[x] -= 1
-                s_conv -= conv_step[freq[x]]
-            used -= per_block
-            for s in subs:
-                counts[s] -= 1
+                        dfs(idx, c + 1, max(u, cand_points[idx][-1] + 1))
+            leave(idx)
 
     certificate = OPTIMAL
     try:
-        dfs(0, 0)
+        if seeded:
+            descent, idx, u = [], 0, 0
+            while cfg.node_budget is None or bound_cap <= cfg.node_budget:
+                idx = next(
+                    (j for j in range(idx, len(cands)) if admissible(j) and in_order(j, u)), None
+                )
+                if idx is None:
+                    break
+                descent.append(idx)
+                if choose_block(idx):
+                    # the round at the cap would walk this path, and nothing else
+                    nodes = bound_cap
+                    raise _Done
+                u = max(u, cand_points[idx][-1] + 1)
+            for idx in reversed(descent):
+                leave(idx)
+            for target in range(bound_cap, len(descent), -1):
+                best_n = target - 1
+                dfs(0, 0, 0)
+            best_n = len(deepest)
+        else:
+            dfs(0, 0, 0)
     except _Done:
-        pass
+        deepest = chosen.copy()  # the node that reached the target, as a round answers
     except _Budget:
         certificate = BUDGET_EXHAUSTED
         nodes -= 1  # the node that broke the budget was not visited
-    return best_n, best, certificate, nodes, cuts
+        best_n = len(deepest)
+    return best_n, deepest, certificate, nodes, cuts
 
 
-def reference_pdn(params, cfg, symmetry=True, bound=True, sibling=True):
+def reference_pdn(params, cfg, **rules):
     v, k, t, lam = params.v, params.k, params.t, params.lam
     cands = list(combinations(range(v), k))
     sub_ids = {s: i for i, s in enumerate(combinations(range(v), t))}
     cand_subs = [tuple(sub_ids[s] for s in combinations(c, t)) for c in cands]
     cap = best_upper_bound(params, include_exact=False).value
     n, best, certificate, nodes, cuts = reference_search(
-        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, symmetry, bound, sibling
+        v, k, t, lam, lam, cands, cand_subs, len(sub_ids), cap, cfg, **rules
     )
     return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
 
-def reference_dpdn(v, k, cfg, symmetry=True, bound=True, sibling=True):
+def reference_dpdn(v, k, cfg, **rules):
     cands = list(permutations(range(v), k))
     pair_ids = {p: i for i, p in enumerate(permutations(range(v), 2))}
     cand_subs = [tuple(pair_ids[p] for p in combinations(c, 2)) for c in cands]
     cap = best_upper_bound(DesignParams(v, k, 2, 2), include_exact=False).value
     n, best, certificate, nodes, cuts = reference_search(
-        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, symmetry, bound, sibling
+        v, k, 2, 1, 2, cands, cand_subs, len(pair_ids), cap, cfg, **rules
     )
     return n, tuple(cands[i] for i in best), certificate, nodes, cuts
 
@@ -252,7 +301,7 @@ class TestSearchEngine:
         assert (r.n, r.witness.blocks, r.certificate, r.nodes, r.cuts) == reference_dpdn(6, 3, cfg)
 
     def test_exhausted_budget_is_the_node_count(self):
-        # (12,3,2,1) is certified in 854 nodes; (10,3,2,2) exhausts even 120k
+        # (10,3,2,2) is certified in 5,650 nodes, so each of these budgets runs out
         for budget in (1, 5, 1000):
             result = pdn_exact(DesignParams(10, 3, 2, 2), SearchConfig(node_budget=budget))
             assert result.certificate == BUDGET_EXHAUSTED
@@ -356,7 +405,7 @@ class TestCapacityBound:
                 compared += 1
             elif certificate == OPTIMAL:
                 raise AssertionError(f"certified without the bound only: {r}")
-        assert compared == 62
+        assert compared == 63
 
     @pytest.mark.parametrize("v,k,t,lam", [(7, 5, 3, 2), (5, 4, 3, 2), (5, 4, 3, 3), (6, 5, 3, 3)])
     def test_agrees_with_outright_enumeration_at_t3(self, v, k, t, lam):
@@ -453,7 +502,7 @@ class TestSiblingCut:
                 raise AssertionError(f"certified by the child-level rule only: {r}")
             else:
                 assert r.n >= n, r
-        assert (compared, fewer) == (65, 21)
+        assert (compared, fewer) == (66, 18)
 
     @pytest.mark.parametrize("cell,limit", [((12, 3, 2, 1), 1_000), ((9, 3, 2, 2), 1_300)])
     def test_capacity_searches_take_few_nodes(self, cell, limit):
@@ -461,6 +510,48 @@ class TestSiblingCut:
         result = pdn_exact(DesignParams(*cell), SearchConfig(node_budget=120_000))
         assert result.certificate == OPTIMAL
         assert result.nodes <= limit, result.nodes
+
+
+class TestSeededRounds:
+    """Rounds at a falling target, choosing fresh points in order, keep the unseeded search's answers."""
+
+    def test_agrees_with_the_unseeded_search(self):
+        # where both certify, the same value and witness; where neither
+        # does, never a smaller n
+        cfg = SearchConfig(node_budget=16_000)
+        old = {"seeded": False, "fresh": False}
+        runs = [
+            (pdn_exact(DesignParams(*c), cfg), reference_pdn(DesignParams(*c), cfg, **old))
+            for c in REFERENCE_PDN_CELLS
+        ]
+        runs += [
+            (dpdn_exact(v, k, cfg), reference_dpdn(v, k, cfg, **old))
+            for v, k in REFERENCE_DPDN_CELLS
+        ]
+        compared = gained = 0
+        for r, (n, blocks, certificate, _, _) in runs:
+            if r.certificate == certificate == OPTIMAL:
+                assert (r.n, r.witness.blocks) == (n, blocks)
+                compared += 1
+            elif certificate == OPTIMAL:
+                raise AssertionError(f"certified by the unseeded search only: {r}")
+            elif r.certificate == OPTIMAL:
+                gained += 1
+            else:
+                assert r.n >= n, r
+        assert (compared, gained) == (65, 3)
+
+    def test_budget_spans_the_rounds(self):
+        # (6,4,2,3): cap 7, optimum 6.  The round at 7 exhausts its tree
+        # after reaching 6 blocks, and a budget spent in the round at 6
+        # answers with that deepest node
+        params = DesignParams(6, 4, 2, 3)
+        full = pdn_exact(params)
+        assert (full.n, full.certificate, full.nodes) == (6, OPTIMAL, 113)
+        cut_short = pdn_exact(params, SearchConfig(node_budget=112))
+        assert (cut_short.n, cut_short.certificate, cut_short.nodes) == (6, BUDGET_EXHAUSTED, 112)
+        assert cut_short.witness.blocks != full.witness.blocks
+        assert validate_packing(cut_short.witness, params).valid
 
 
 def admitted_by_filter(v, k, t, lam, directed):
@@ -602,7 +693,7 @@ class TestPdnExact:
                 for v in range(k, 9):
                     params = DesignParams(v, k, 2, lam)
                     on = pdn_exact(params)
-                    off_n, _, off_certificate, _, _ = reference_pdn(params, SearchConfig(), False)
+                    off_n, _, off_certificate, _, _ = reference_pdn(params, SearchConfig(), symmetry=False)
                     assert on.certificate == off_certificate == OPTIMAL
                     assert on.n == off_n, (v, k, lam)
 
@@ -656,7 +747,7 @@ class TestDpdnExact:
     def test_symmetry_toggle_keeps_value(self):
         for v, k in [(4, 3), (5, 4), (4, 4)]:
             on = dpdn_exact(v, k)
-            off_n, _, off_certificate, _, _ = reference_dpdn(v, k, SearchConfig(), False)
+            off_n, _, off_certificate, _, _ = reference_dpdn(v, k, SearchConfig(), symmetry=False)
             assert on.n == off_n
             assert on.certificate == off_certificate == OPTIMAL
 
@@ -695,6 +786,33 @@ class TestCertifyOptimal:
         bad = PackingDesign(4, ((0, 1, 2), (0, 1, 3)))
         with pytest.raises(ValueError):
             certify_optimal(bad, DesignParams(4, 3, 2, 1))
+
+    def test_agrees_with_the_full_search(self):
+        # one seeded round at n + 1 answers what comparing n with a full
+        # search's certified optimum answers, on optimal designs and on
+        # designs one block short of them
+        cells = [(DesignParams(v, k, 2, lam), False) for lam in (1, 2) for k in (3, 4) for v in range(k, 10)]
+        cells += [(DesignParams(v, k, 3, 1), False) for k in (4, 5) for v in range(k, 9)]
+        # optima below the best upper bound, so settled only by the round
+        cells += [(DesignParams(*c), False) for c in [(6, 4, 2, 3), (7, 4, 3, 2), (7, 5, 3, 2), (8, 5, 3, 2)]]
+        cells += [(DesignParams(v, k, 2, 1), True) for k in (3, 4, 5) for v in range(k, 9)]
+        answers = Counter()
+        for params, directed in cells:
+            full = dpdn_exact(params.v, params.k) if directed else pdn_exact(params)
+            assert full.certificate == OPTIMAL
+            for blocks in (full.witness.blocks, full.witness.blocks[:-1]):
+                design = type(full.witness)(params.v, blocks)
+                answer = certify_optimal(design, params)
+                assert answer == (len(blocks) == full.n), (params, directed, len(blocks))
+                answers[answer] += 1
+        assert answers == {True: 54, False: 54}
+
+    def test_spent_budget_is_inconclusive(self):
+        # (7,5,3,2): optimum 4 under a classical cap of 5
+        params = DesignParams(7, 5, 3, 2)
+        witness = pdn_exact(params).witness
+        assert certify_optimal(witness, params)
+        assert not certify_optimal(witness, params, SearchConfig(node_budget=1))
 
     def test_solver_witness_certifies(self):
         result = pdn_exact(DesignParams(8, 3, 2, 1))
