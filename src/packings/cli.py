@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from decimal import Decimal
+from itertools import chain, islice
 from pathlib import Path
 
 from . import bounds as bd
@@ -70,7 +71,7 @@ def _text(value) -> str:
 
 def _print_tsv(header: tuple[str, ...], rows) -> None:
     """One tab-separated line per row under the header; None prints as an empty cell."""
-    for row in (header, *rows):
+    for row in chain((header,), rows):
         print("\t".join("" if cell is None else _text(cell) for cell in row))
 
 
@@ -178,19 +179,23 @@ def cmd_export_code(args) -> int:
     return EXIT_INVALID if ok is False else EXIT_OK
 
 
-def cmd_table(args) -> int:
-    rows = []
+def _table_rows(args):
+    """One (v, k, value, kind, provenance) row per cell, computed as it is asked for."""
     for v in range(args.v_min, args.v_max + 1):
-        for k in range(args.k_min, min(args.k_max, v) + 1):
-            if k < args.t:
-                continue
+        for k in range(max(args.k_min, args.t), min(args.k_max, v) + 1):
             params = DesignParams(v, k, args.t, args.lam)
             # an exact window wins outright, even over a classical bound tied with it,
             # so the classical bounds are computed only where no window holds
             best = bd.exact_by_theorems(params) if args.t >= 2 else None
             if best is None or not best.exact:
                 best = bd.best_upper_bound(params, include_exact=False)
-            rows.append((v, k, best.value, "exact" if best.exact else "upper", best.provenance))
+            yield v, k, best.value, "exact" if best.exact else "upper", best.provenance
+
+
+def cmd_table(args) -> int:
+    rows = _table_rows(args)
+    # the first cell checks --t and --lambda, so bad ones fail before any output
+    rows = chain(list(islice(rows, 1)), rows)
     if args.tsv:
         _print_tsv(("v", "k", "value", "kind", "provenance"), rows)
     else:

@@ -71,7 +71,9 @@ them.  When the budget runs out, the answer is the larger of the first
 descent and the first node visited at the greatest depth in any round, the
 earlier on a tie; the chosen blocks at every node form a packing.  Rounds
 cost nodes as well as saving them: when the optimum is below the cap,
-every round above it walks its tree to the end.
+every round above it walks its tree to the end.  `certify_optimal` runs
+the same search for an n-block design with floor n: the cap falls to n + 1
+and no round runs below n + 1, so the first descent or one round decides.
 
 The one bounding rule is a capacity bound, one code for both searches,
 tested before each sibling of a level, on the candidates the level has
@@ -98,8 +100,8 @@ a block, admissible under P, whose k points each give at least 1, so the
 point bound is at least 1.  Within a round the seed is fixed, so a test
 with the reach of the last one made at its level is skipped, as that one
 did not cut.  Each level's suffix unions come from one pass as it is
-built.  The stars are built when the unit bound first fails to cut, so a
-search that meets its cap on the first descent never builds them.
+built, and the stars with the cut, which a search that meets its cap on
+the first descent never makes.
 
 The cap is the least classical bound; the counting prunes on the chosen
 blocks alone never cut below it.  Write lam for the multiplicity of the
@@ -120,7 +122,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from operator import or_
 from typing import NamedTuple
@@ -163,6 +165,15 @@ class SearchResult(NamedTuple):
     nodes: int = 0  # nodes visited over all rounds, the unit the node budget counts
     cuts: int = 0  # capacity tests over all rounds that cut the siblings left in a level
     candidates: int = 0  # candidates drawn from the pool
+
+
+def _saturate(planes: list[int], mask: int) -> list[int]:
+    """The planes after one more use of each unit in mask; planes[j] holds units used > j times."""
+    added = []
+    for plane in planes:
+        added.append(plane | mask)
+        mask &= plane
+    return added
 
 
 def _search(
@@ -233,11 +244,7 @@ def _search(
             deepest = chosen.copy()
             if len(chosen) == target:
                 return deepest, False, nodes, cuts
-        carry = masks[idx]
-        added = []
-        for plane in planes:
-            added.append(plane | carry)
-            carry &= plane
+        added = _saturate(planes, masks[idx])
         full = added[-1]
         # saturation only grows with depth, so the children's candidates
         # are this level's remaining ones that stay admissible
@@ -276,6 +283,14 @@ def _shifts(v: int, t: int, directed: bool) -> list[list[int]]:
     return [[math.comb(x, j) for x in range(v)] for j in range(t + 1)]
 
 
+def _grow(units: list[int], x: int, shift: list[list[int]]) -> list[int]:
+    """Append point x to a sequence whose j-point subsequences have the units in units[j]."""
+    grown = [1]
+    for j in range(1, len(units)):
+        grown.append(units[j] | units[j - 1] << shift[j][x])
+    return grown
+
+
 def _pool(
     v: int, k: int, t: int, lam: int, directed: bool
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -287,17 +302,15 @@ def _pool(
     a1 < ... < at is unit sum C(ai, i), its colex rank; an ordered t-tuple is
     unit sum ai * v**(i-1), so the directed masks span v**t bits, a factor
     v/(v-1) above P(v, 2) at t = 2.  With units[j] the units of a prefix's
-    j-point subsequences (units[0] = 1, the empty one), appending x sets
-    units[j] |= units[j-1] << shift[j][x].  At lam = 1 the root's child level
+    j-point subsequences (units[0] = 1, the empty one), ``_grow`` appends x
+    as units[j] | units[j-1] << shift[j][x].  At lam = 1 the root's child level
     holds only candidates that miss the root's units, and every later node
     lies in it, so a prefix that meets them is cut with all its extensions;
     at larger lam nothing is cut.
     """
     shift = _shifts(v, t, directed)
-    empty = (1,) + (0,) * t
-    root = empty
-    for x in range(k):
-        root = (1, *[root[j] | root[j - 1] << shift[j][x] for j in range(1, t + 1)])
+    empty = [1] + [0] * t
+    root = reduce(partial(_grow, shift=shift), range(k), empty)
     taboo = root[t] if lam == 1 else 0
     if lam == 1:
         yield tuple(range(k)), taboo
@@ -320,7 +333,7 @@ def _pool(
         for x in points:
             if directed and x in prefix:
                 continue
-            grown = (1, *[units[j] | units[j - 1] << shift[j][x] for j in range(1, t + 1)])
+            grown = _grow(units, x, shift)
             if not grown[t] & taboo:
                 stop = v if directed else v - k + len(prefix) + 2
                 stack.append(((*prefix, x), grown, iter(range(0 if directed else x + 1, stop))))
@@ -333,7 +346,7 @@ def _stars(v: int, t: int, directed: bool) -> list[int]:
     """Each point's star: a mask holding every unit that contains the point.
 
     The units of a point sequence (its t-point subsequences) come from
-    prefix shifts, as in ``_pool``, and a point's star is what the whole
+    ``_grow``, as in ``_pool``, and a point's star is what the whole
     sequence has beyond the sequence without it.  An increasing sequence
     gives the t-sets exactly; t copies of range(v) give every ordered t-tuple
     code, repeated points included, and those codes lie in no mask.
@@ -341,18 +354,15 @@ def _stars(v: int, t: int, directed: bool) -> list[int]:
     shift = _shifts(v, t, directed)
 
     def units(skip: int | None) -> int:
-        grown = [1] + [0] * t
-        for x in [y for y in range(v) if y != skip] * (t if directed else 1):
-            for j in range(t, 0, -1):
-                grown[j] |= grown[j - 1] << shift[j][x]
-        return grown[t]
+        points = [y for y in range(v) if y != skip] * (t if directed else 1)
+        return reduce(partial(_grow, shift=shift), points, [1] + [0] * t)[t]
 
     every = units(None)
     return [every ^ units(x) for x in range(v)]
 
 
 def _capacity_cut(
-    v: int, k: int, t: int, directed: bool
+    v: int, k: int, t: int, lam: int, directed: bool
 ) -> Callable[[int, list[int], int], bool]:
     """The capacity bound of the module docstring, as a test cut(reach, planes, room).
 
@@ -360,12 +370,12 @@ def _capacity_cut(
     whose masks lie in reach, planes[j] holding the units used more than j
     times.  It lays the free planes side by side in one int, so the unit
     bound is one popcount and each point one AND and one popcount against
-    its star copied once per plane.  The stars are built at the first call
-    that the unit bound does not settle.
+    its star copied once per plane.
     """
     per_block, per_point = math.comb(k, t), math.comb(k - 1, t - 1)
     width = v**t if directed else math.comb(v, t)
-    wide_stars: list[int] = []
+    copies = sum(1 << j * width for j in range(lam))
+    wide_stars = [star * copies for star in _stars(v, t, directed)]
 
     def cut(reach: int, planes: list[int], room: int) -> bool:
         # the candidates miss the top plane, so all of reach is free there
@@ -374,9 +384,6 @@ def _capacity_cut(
             wide = wide << width | reach & ~plane
         if wide.bit_count() // per_block <= room:
             return True
-        if not wide_stars:
-            copies = sum(1 << j * width for j in range(len(planes)))
-            wide_stars.extend(star * copies for star in _stars(v, t, directed))
         need, total = (room + 1) * k, 0
         for star in wide_stars:
             total += (wide & star).bit_count() // per_point
@@ -387,8 +394,12 @@ def _capacity_cut(
     return cut
 
 
-def _check_limits(v: int, k: int, t: int, directed: bool) -> None:
-    """Refuse a pool past POOL_LIMIT, or a mask table past MASK_BITS_LIMIT, before drawing it."""
+def _exact(
+    params: DesignParams, directed: bool, config: SearchConfig | None, floor: int | None = None
+) -> SearchResult:
+    """The shared search, capped by the classical bounds and, given a floor, by floor + 1."""
+    v, k, t, lam = params.v, params.k, params.t, params.lam
+    # refuse a pool past POOL_LIMIT, or a mask table past MASK_BITS_LIMIT, before drawing it
     what = "ordered blocks" if directed else "blocks"
     (pool, pool_text), (n_units, units_text) = _count(v, k, directed), _count(v, t, directed)
     if pool > POOL_LIMIT:
@@ -396,18 +407,9 @@ def _check_limits(v: int, k: int, t: int, directed: bool) -> None:
     if pool * n_units > MASK_BITS_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
                          f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
-
-
-def _point_masks(cands: list[tuple[int, ...]]) -> list[int]:
-    """Each candidate's points, as a mask for the fresh-point test."""
-    return [sum(1 << x for x in cand) for cand in cands]
-
-
-def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) -> SearchResult:
-    """The shared search: one mask per candidate block, capped by the classical bounds."""
-    v, k, t, lam = params.v, params.k, params.t, params.lam
-    _check_limits(v, k, t, directed)
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
+    if floor is not None:
+        cap = min(cap, floor + 1)
     budget = (config or SearchConfig()).node_budget
     design = DirectedPackingDesign if directed else PackingDesign
     # the first descent, taken while drawing: see the module docstring
@@ -423,15 +425,12 @@ def _exact(params: DesignParams, directed: bool, config: SearchConfig | None) ->
             descent.append(cand)
             if len(descent) == cap:
                 return SearchResult(cap, design(v, tuple(descent)), OPTIMAL, cap, 0, len(cands))
-            carry = mask
-            for j, plane in enumerate(planes):
-                planes[j] = plane | carry
-                carry &= plane
+            planes = _saturate(planes, mask)
     # rounds at a falling target, on the budget the earlier ones left
-    points = _point_masks(cands)
-    cut = _capacity_cut(v, k, t, directed)
+    points = [sum(1 << x for x in cand) for cand in cands]
+    cut = _capacity_cut(v, k, t, lam, directed)
     best, certificate, nodes, cuts = descent, OPTIMAL, 0, 0
-    for target in range(cap, len(descent), -1):
+    for target in range(cap, max(len(descent), floor or 0), -1):
         left = None if budget is None else budget - nodes
         deepest, spent, round_nodes, round_cuts = _search(masks, points, lam, target, left, cut)
         nodes += round_nodes
@@ -482,10 +481,9 @@ def certify_optimal(
     """True when the design's block count provably equals the packing number.
 
     A match against the best upper bound settles it immediately.  Otherwise
-    one round of the exact search, at target n + 1 with the best count
-    seeded at n, decides: a round that exhausts its tree proves that no
-    design has n + 1 blocks, one that reaches n + 1 shows n is not optimal,
-    and a round that runs out of budget reports False.
+    the exact search runs with floor n, so its one target is n + 1: reaching
+    it shows n is not optimal, exhausting the round's tree proves that no
+    design has n + 1 blocks, and a search that runs out of budget reports False.
     """
     require_valid(design, params)
     directed = isinstance(design, DirectedPackingDesign)
@@ -494,10 +492,5 @@ def certify_optimal(
         return True
     if directed and (params.t, params.lam) != (2, 1):
         return False
-    v, k, t, lam = params.v, params.k, params.t, params.lam
-    _check_limits(v, k, t, directed)
-    cands, masks = zip(*_pool(v, k, t, lam, directed))
-    cut = _capacity_cut(v, k, t, directed)
-    budget = (config or SearchConfig()).node_budget
-    deepest, spent, _, _ = _search(list(masks), _point_masks(cands), lam, n + 1, budget, cut)
-    return not spent and len(deepest) <= n
+    result = _exact(params, directed, config, floor=n)
+    return result.certificate == OPTIMAL and result.n <= n

@@ -6,6 +6,8 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 import packings
 from packings import (
     DesignParams,
@@ -438,6 +440,34 @@ class TestTable:
             v, k, value, kind, _ = line.split("\t")
             if kind == "exact":
                 assert pdn_exact(DesignParams(int(v), int(k), 2, 1)).n == int(value)
+
+    def test_rows_print_as_each_cell_is_computed(self, capsys, monkeypatch):
+        # a failure at the last cell leaves the rows before it on stdout
+        exact = packings.bounds.exact_by_theorems
+
+        def fail_last(params):
+            if (params.v, params.k) == (8, 4):
+                raise ValueError("the last cell failed")
+            return exact(params)
+
+        monkeypatch.setattr(packings.bounds, "exact_by_theorems", fail_last)
+        code, out, err = run(
+            capsys, "table", "--v-min", "6", "--v-max", "8", "--k-min", "3", "--k-max", "4", "--tsv"
+        )
+        assert code == 1 and err == "error: the last cell failed\n"
+        lines = out.splitlines()
+        assert lines[0] == "v\tk\tvalue\tkind\tprovenance"
+        assert [line.split("\t")[:2] for line in lines[1:]] == [
+            ["6", "3"], ["6", "4"], ["7", "3"], ["7", "4"], ["8", "3"]
+        ]
+
+    @pytest.mark.parametrize("tsv", [(), ("--tsv",)])
+    @pytest.mark.parametrize("bad", [("--t", "0"), ("--lambda", "0")])
+    def test_bad_t_or_lambda_prints_nothing(self, capsys, tsv, bad):
+        argv = ["table", "--v-min", "6", "--v-max", "8", "--k-min", "3", "--k-max", "4"]
+        code, out, err = run(capsys, *argv, *bad, *tsv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: require") and err.count("\n") == 1
 
     def test_t_one_gives_an_upper_row_per_cell(self, capsys):
         code, out, _ = run(

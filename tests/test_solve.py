@@ -439,9 +439,9 @@ class TestCapacityBound:
         if cell in ((10, 5, 2, 2), (9, 4, 3, 1)):
             assert best_upper_bound(params, include_exact=False).value == expected
 
-    def test_stars_only_when_a_gap_opens(self, monkeypatch):
-        # a search that meets its cap on the first descent tests no bound
-        # and builds no stars; a test always has room for at least one block
+    def test_no_cut_when_the_descent_answers(self, monkeypatch):
+        # a search that the first descent answers makes no capacity test and
+        # builds no stars; every test has room for at least one block
         rooms = []
         make = solve._capacity_cut
 
@@ -504,12 +504,12 @@ class TestSiblingCut:
                 assert r.n >= n, r
         assert (compared, fewer) == (66, 18)
 
-    @pytest.mark.parametrize("cell,limit", [((12, 3, 2, 1), 1_000), ((9, 3, 2, 2), 1_300)])
-    def test_capacity_searches_take_few_nodes(self, cell, limit):
+    @pytest.mark.parametrize("cell,nodes", [((12, 3, 2, 1), 478), ((9, 3, 2, 2), 40)])
+    def test_capacity_searches_take_few_nodes(self, cell, nodes):
         # 5,711 and 3,966 nodes when the bound was tested once per child level
         result = pdn_exact(DesignParams(*cell), SearchConfig(node_budget=120_000))
         assert result.certificate == OPTIMAL
-        assert result.nodes <= limit, result.nodes
+        assert result.nodes == nodes
 
 
 class TestSeededRounds:
@@ -618,15 +618,16 @@ class TestPool:
         assert len(cands) == len(admitted_by_filter(9, 6, 2, 1, True)) == 3860
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(solve, "_search", refuse)
+
+
 class TestFirstDescent:
     """A first descent that meets the cap answers without drawing the rest of the pool."""
-
-    @pytest.fixture
-    def no_search(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(solve, "_search", refuse)
 
     @pytest.mark.parametrize(
         "search,n",
@@ -788,12 +789,12 @@ class TestCertifyOptimal:
             certify_optimal(bad, DesignParams(4, 3, 2, 1))
 
     def test_agrees_with_the_full_search(self):
-        # one seeded round at n + 1 answers what comparing n with a full
+        # the search with floor n answers what comparing n with a full
         # search's certified optimum answers, on optimal designs and on
         # designs one block short of them
         cells = [(DesignParams(v, k, 2, lam), False) for lam in (1, 2) for k in (3, 4) for v in range(k, 10)]
         cells += [(DesignParams(v, k, 3, 1), False) for k in (4, 5) for v in range(k, 9)]
-        # optima below the best upper bound, so settled only by the round
+        # optima below the best upper bound, so settled only by the search
         cells += [(DesignParams(*c), False) for c in [(6, 4, 2, 3), (7, 4, 3, 2), (7, 5, 3, 2), (8, 5, 3, 2)]]
         cells += [(DesignParams(v, k, 2, 1), True) for k in (3, 4, 5) for v in range(k, 9)]
         answers = Counter()
@@ -813,6 +814,17 @@ class TestCertifyOptimal:
         witness = pdn_exact(params).witness
         assert certify_optimal(witness, params)
         assert not certify_optimal(witness, params, SearchConfig(node_budget=1))
+
+    @pytest.mark.parametrize("cell,directed,n", [((9, 6, 2, 1), True, 2), ((12, 4, 2, 1), False, 8)])
+    def test_descent_to_n_plus_one_answers(self, no_search, cell, directed, n):
+        # one block short of a design the first descent finds at the cap n + 1:
+        # the descent reaches n + 1 while the pool is drawn, and no round runs
+        params = DesignParams(*cell)
+        witness = (dpdn_exact(params.v, params.k) if directed else pdn_exact(params)).witness
+        short = type(witness)(params.v, witness.blocks[:-1])
+        assert len(short.blocks) == n
+        assert best_upper_bound(params, directed=directed, include_exact=False).value == n + 1
+        assert not certify_optimal(short, params)
 
     def test_solver_witness_certifies(self):
         result = pdn_exact(DesignParams(8, 3, 2, 1))
