@@ -242,42 +242,39 @@ def horsley_bound_2(v: int, k: int, lam: int = 1) -> BoundReport:
     """Replication-count bound for the high-remainder case d >= r - lam (t = 2).
 
     Two sub-cases carry their own side conditions; the minimum over the
-    applicable ones is returned.  Evaluation is exact via Fractions, and a
-    non-positive denominator marks the sub-case degenerate.
+    applicable ones is returned.  Each sub-case has weights alpha = a/A and
+    beta = b/B, and with N = aB - bA its value floor((r v (alpha - beta) -
+    alpha v) / (k (alpha - beta) - 1)) is floor((r v N - a B v) / (k N - A B))
+    in integers; a non-positive k N - A B marks the sub-case degenerate.  The
+    Fractions are built only for the report's weights.
     """
     if not 3 <= k < v:
         raise ValueError(f"require 3 <= k < v, got v={v} k={k}")
     r, d = _replication_split(v, k, lam)
     if d < r - lam:
         return BoundReport(None, HORSLEY_2, {"r": r, "d": d, "reason": "d < r - lam"})
-    cases: dict[str, tuple[Fraction, Fraction]] = {}
+    cases: dict[str, tuple[int, int, int, int]] = {}
     if k * (r + lam - 1) > 2 * d + 2:
-        cases["alpha"] = (Fraction(r - lam + 1, 2 * d + 2), Fraction(0))
+        cases["alpha"] = (r - lam + 1, 2 * d + 2, 0, 1)
     if (r - lam) * k * (k - 1) > 2 * (d + 1) * (d + k):
-        cases["alpha-beta"] = (
-            Fraction(r - lam, 2 * d + 2),
-            Fraction(r - lam, 2 * (d + k)),
-        )
+        cases["alpha-beta"] = (r - lam, 2 * d + 2, r - lam, 2 * (d + k))
     values: dict[str, int | None] = {}
-    for name, (alpha, beta) in cases.items():
-        den = k * (alpha - beta) - 1
+    for name, (a, A, b, B) in cases.items():
+        N = a * B - b * A
+        den = k * N - A * B
         if den <= 0:
             values[name] = None  # degenerate, not applicable
             continue
-        val = math.floor((r * v * (alpha - beta) - alpha * v) / den)
+        val = (r * v * N - a * B * v) // den
         # one block always exists, so a sub-case claiming less than one
         # (possible when r = lam) is degenerate rather than a bound
         values[name] = val if val >= 1 else None
+    weights = {name: (Fraction(a, A), Fraction(b, B)) for name, (a, A, b, B) in cases.items()}
+    detail = {"r": r, "d": d, "cases": values, "weights": weights}
     usable = [val for val in values.values() if val is not None]
     if not usable:
-        return BoundReport(
-            None,
-            HORSLEY_2,
-            {"r": r, "d": d, "cases": values, "weights": cases, "reason": "no sub-case applies"},
-        )
-    return BoundReport(
-        min(usable), HORSLEY_2, {"r": r, "d": d, "cases": values, "weights": cases}
-    )
+        return BoundReport(None, HORSLEY_2, {**detail, "reason": "no sub-case applies"})
+    return BoundReport(min(usable), HORSLEY_2, detail)
 
 
 def _least_ell(k: int, t: int, lam: int) -> int:

@@ -13,14 +13,18 @@ t-tuples in the directed case).  The unit counts of the chosen blocks are
 held as saturating bitplanes, so a candidate is admissible when its mask
 misses the top plane, and a node costs a few integer operations.
 
-The pool is the root (0, ..., k-1) plus the candidates it admits, drawn
-lazily by a depth-first walk over prefixes, in lexicographic order, with
-prefix shifts: a t-set is numbered by its colex rank sum C(ai, i), an ordered
-t-tuple by sum ai * v**(i-1), so appending a point to a prefix shifts the
-units of the prefix's shorter subsequences into place.  At lam = 1 every
-prefix that meets the root's units is cut with its subtree.  POOL_LIMIT and
-MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything is
-drawn.
+The candidates come from one prefix walker, ``_walk``: a depth-first walk
+over the prefixes of the k-subsets (or ordered k-tuples), in lexicographic
+order, with prefix shifts: a t-set is numbered by its colex rank sum
+C(ai, i), an ordered t-tuple by sum ai * v**(i-1), so appending a point to a
+prefix shifts the units of the prefix's shorter subsequences into place.
+It yields the candidates whose masks miss a taboo mask that the caller may
+grow as it goes, with their point masks, and cuts a prefix with all its
+extensions once its units meet that mask, or once fewer points can still
+follow it than it lacks.  The pool is the root (0, ..., k-1) plus a walk
+whose taboo, at lam = 1, is the root's units.  POOL_LIMIT and
+MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything
+is drawn.
 
 The search tree holds the index-nondecreasing block sequences that start
 at the root, children in candidate order; the search order is its
@@ -46,17 +50,20 @@ The first descent is the search order's first path: at every depth it
 takes the first candidate, at or after the current one, that misses the
 top plane (at lam >= 2 that may be the current one again), so its d0
 blocks are the first d0-block design, and by the argument above it obeys
-the fresh rule.  It is taken while the pool is drawn, when the node budget
-allows cap nodes: planes change only when a candidate is chosen, so
-testing each candidate against the planes as it is drawn, and choosing it
-while it stays admissible, picks the same blocks.  When it meets the cap,
-the round at the cap below would walk this path and nothing else, as a
-subtree that holds a cap-block design is never cut; so its blocks are the
-answer, with cap nodes and no cut, and nothing more is drawn.  Otherwise
-it visits no node of the search: it sets the lowest target, and it is a
-design to answer with.
+the fresh rule.  It is taken, when the node budget allows cap nodes, on a
+walk of its own whose taboo is the live top plane: planes change only
+when a candidate is chosen, and only grow, so every candidate the walk
+skips would be refused, and choosing each one it yields while it stays
+admissible picks the same blocks.  The walk's first candidate is the root,
+whose units then enter the plane, so at lam = 1 it yields only what the
+pool holds.  When the descent meets the cap, the round at the cap below
+would walk this path and nothing else, as a subtree that holds a
+cap-block design is never cut; so its blocks are the answer, with cap
+nodes and no cut, and the walk is abandoned where it stands: no candidate
+past the cap's block is drawn, and no pool.  Otherwise it visits no node of
+the search: it sets the lowest target, and it is a design to answer with.
 
-Then the rest of the pool is drawn and rounds run at the targets T = cap,
+Then the pool is drawn, and rounds run at the targets T = cap,
 cap - 1, ..., d0 + 1 (d0 = 0 when no descent was taken).  Each round
 searches the tree with its best count seeded at T - 1, so it tests the
 capacity bound against T - 1 and stops at the first node with T blocks.
@@ -122,8 +129,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, chain, combinations, permutations
 from operator import or_
 from typing import NamedTuple
 
@@ -164,7 +171,7 @@ class SearchResult(NamedTuple):
     certificate: str
     nodes: int = 0  # nodes visited over all rounds, the unit the node budget counts
     cuts: int = 0  # capacity tests over all rounds that cut the siblings left in a level
-    candidates: int = 0  # candidates drawn from the pool
+    candidates: int = 0  # candidates the walks yielded: the first descent's, then the pool's
 
 
 def _saturate(planes: list[int], mask: int) -> list[int]:
@@ -277,10 +284,16 @@ def _count(v: int, k: int, directed: bool) -> tuple[int, str]:
 
 
 def _shifts(v: int, t: int, directed: bool) -> list[list[int]]:
-    """shift[j][x]: how far appending point x moves a unit of j - 1 points to its j-point unit."""
-    if directed:
-        return [[x * v ** (j - 1) for x in range(v)] for j in range(t + 1)]
-    return [[math.comb(x, j) for x in range(v)] for j in range(t + 1)]
+    """shift[j][x]: how far appending point x moves a unit of j - 1 points to its j-point unit.
+
+    That is x * v**(j-1) for ordered tuples and C(x, j), the sum of C(y, j-1)
+    over y < x, for sets.
+    """
+    shift = [[1] * v]
+    for j in range(1, t + 1):
+        row = range(0, v**j, v ** (j - 1)) if directed else [0, *accumulate(shift[-1][:-1])]
+        shift.append(list(row))
+    return shift
 
 
 def _grow(units: list[int], x: int, shift: list[list[int]]) -> list[int]:
@@ -291,74 +304,105 @@ def _grow(units: list[int], x: int, shift: list[list[int]]) -> list[int]:
     return grown
 
 
-def _pool(
-    v: int, k: int, t: int, lam: int, directed: bool
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The search root (0, ..., k-1), then, in order, the candidates it leaves admissible.
+def _walk(
+    v: int, k: int, t: int, directed: bool, taboo: list[int]
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """In lexicographic order, the k-subsets (or ordered k-tuples) whose masks miss taboo[-1].
 
-    Yields (candidate, mask) pairs lazily, walking the prefixes of the
-    k-subsets (or ordered k-tuples) depth-first in lexicographic order, one
-    point at a time, on an explicit stack of at most k prefixes.  A t-set
-    a1 < ... < at is unit sum C(ai, i), its colex rank; an ordered t-tuple is
-    unit sum ai * v**(i-1), so the directed masks span v**t bits, a factor
-    v/(v-1) above P(v, 2) at t = 2.  With units[j] the units of a prefix's
-    j-point subsequences (units[0] = 1, the empty one), ``_grow`` appends x
-    as units[j] | units[j-1] << shift[j][x].  At lam = 1 the root's child level
-    holds only candidates that miss the root's units, and every later node
-    lies in it, so a prefix that meets them is cut with all its extensions;
-    at larger lam nothing is cut.
+    Yields (candidate, mask, point mask) triples, walking the prefixes
+    depth-first, one point at a time, on an explicit stack of at most k
+    prefixes, so a walk abandoned midway leaves nothing to collect.  With
+    units[j] the units of a prefix's j-point subsequences (units[0] = 1, the
+    empty one), ``_grow`` appends x as units[j] | units[j-1] << shift[j][x];
+    the directed masks span v**t bits, a factor v/(v-1) above P(v, 2) at
+    t = 2.  taboo[-1] is read live: the caller may grow it between yields
+    (and must never shrink it).  A prefix is cut with all its extensions
+    once its units meet it, when the prefix is pushed and again whenever the
+    walk comes back to it, and a candidate is yielded when its mask misses
+    it as the candidate is reached.  A prefix short of k - 1 points also
+    keeps its followers: the later points (for ordered tuples, the other
+    points) whose one-point extension missed taboo[-1] when the prefix was
+    pushed.  A subsequence's units are among the sequence's, so every point
+    of an extension is a follower, and a prefix with fewer followers than
+    the points it lacks is cut too.
     """
     shift = _shifts(v, t, directed)
-    empty = [1] + [0] * t
-    root = reduce(partial(_grow, shift=shift), range(k), empty)
-    taboo = root[t] if lam == 1 else 0
-    if lam == 1:
-        yield tuple(range(k)), taboo
     last = shift[t]
-    # each entry: a prefix, its units, and the points still to append to it
-    stack = [((), empty, iter(range(v if directed else v - k + 1)))]
+    # each entry: a prefix, its units, its point mask, its followers and the
+    # positions among them still to try, each leaving enough after it
+    follow = list(range(v))
+    stack = [((), [1] + [0] * t, 0, follow, iter(range(v if directed else v - k + 1)))]
     while stack:
-        prefix, units, points = stack[-1]
+        prefix, units, points, follow, tries = stack[-1]
+        if units[t] & taboo[-1]:
+            # the taboo grew to meet the prefix since it was pushed
+            stack.pop()
+            continue
         if len(prefix) == k - 1:
             # the last point: only the top level of units is needed
             stack.pop()
             top, below = units[t], units[t - 1]
-            for x in points:
-                if directed and x in prefix:
-                    continue
+            for x in follow:
                 mask = top | below << last[x]
-                if not mask & taboo:
-                    yield (*prefix, x), mask
+                if not mask & taboo[-1]:
+                    yield (*prefix, x), mask, points | 1 << x
             continue
-        for x in points:
-            if directed and x in prefix:
-                continue
+        need = k - len(prefix) - 1
+        for i in tries:
+            x = follow[i]
             grown = _grow(units, x, shift)
-            if not grown[t] & taboo:
-                stop = v if directed else v - k + len(prefix) + 2
-                stack.append(((*prefix, x), grown, iter(range(0 if directed else x + 1, stop))))
-                break
+            live = taboo[-1]
+            if grown[t] & live:
+                continue
+            rest = [y for y in follow if y != x] if directed else follow[i + 1 :]
+            if need > 1 and live:
+                below = grown[t - 1]
+                rest = [y for y in rest if not below << last[y] & live]
+                if len(rest) < need:
+                    continue
+            ahead = range(len(rest) if directed else len(rest) - need + 1)
+            stack.append(((*prefix, x), grown, points | 1 << x, rest, iter(ahead)))
+            break
         else:
             stack.pop()
+
+
+def _pool(
+    v: int, k: int, t: int, lam: int, directed: bool
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The search root (0, ..., k-1), then, in order, the candidates it leaves admissible.
+
+    Yields (candidate, mask, point mask) triples from one ``_walk``.  At
+    lam = 1 the root's child level holds only candidates that miss the
+    root's units, and every later node lies in it, so once the root is
+    drawn its units become the walk's taboo; at larger lam nothing is cut.
+    """
+    taboo = [0]
+    walk = _walk(v, k, t, directed, taboo)
+    root = next(walk)
+    yield root
+    if lam == 1:
+        taboo[-1] = root[1]
+    yield from walk
 
 
 def _stars(v: int, t: int, directed: bool) -> list[int]:
     """Each point's star: a mask holding every unit that contains the point.
 
-    The units of a point sequence (its t-point subsequences) come from
-    ``_grow``, as in ``_pool``, and a point's star is what the whole
-    sequence has beyond the sequence without it.  An increasing sequence
-    gives the t-sets exactly; t copies of range(v) give every ordered t-tuple
-    code, repeated points included, and those codes lie in no mask.
+    One pass over the units, the t-sets or the ordered t-tuples of distinct
+    points, each numbered as in ``_walk``: the sum of shift[j][a_j] over its
+    points a_j.  The stars are filled as bytes, so the pass costs
+    C(v, t) * t (or P(v, t) * t) small steps and v conversions to int.
     """
     shift = _shifts(v, t, directed)
-
-    def units(skip: int | None) -> int:
-        points = [y for y in range(v) if y != skip] * (t if directed else 1)
-        return reduce(partial(_grow, shift=shift), points, [1] + [0] * t)[t]
-
-    every = units(None)
-    return [every ^ units(x) for x in range(v)]
+    width = v**t if directed else math.comb(v, t)
+    rows = shift[1:]
+    stars = [bytearray(width // 8 + 1) for _ in range(v)]
+    for unit in (permutations if directed else combinations)(range(v), t):
+        code = sum(map(list.__getitem__, rows, unit))
+        for x in unit:
+            stars[x][code >> 3] |= 1 << (code & 7)
+    return [int.from_bytes(star, "little") for star in stars]
 
 
 def _capacity_cut(
@@ -412,22 +456,22 @@ def _exact(
         cap = min(cap, floor + 1)
     budget = (config or SearchConfig()).node_budget
     design = DirectedPackingDesign if directed else PackingDesign
-    # the first descent, taken while drawing: see the module docstring
-    descend = budget is None or cap <= budget
+    # the first descent, on its own walk under the live top plane: see the
+    # module docstring
     descent: list[tuple[int, ...]] = []
-    planes = [0] * lam
-    cands: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for cand, mask in _pool(v, k, t, lam, directed):
-        cands.append(cand)
-        masks.append(mask)
-        while descend and not mask & planes[-1]:
-            descent.append(cand)
-            if len(descent) == cap:
-                return SearchResult(cap, design(v, tuple(descent)), OPTIMAL, cap, 0, len(cands))
-            planes = _saturate(planes, mask)
+    drawn = 0
+    if budget is None or cap <= budget:
+        planes = [0] * lam
+        for drawn, (cand, mask, _) in enumerate(_walk(v, k, t, directed, planes), 1):
+            while not mask & planes[-1]:
+                descent.append(cand)
+                if len(descent) == cap:
+                    return SearchResult(cap, design(v, tuple(descent)), OPTIMAL, cap, 0, drawn)
+                planes[:] = _saturate(planes, mask)
+    # lists: the search reads them through list.__getitem__, faster than a tuple's
+    cands, masks, points = map(list, zip(*_pool(v, k, t, lam, directed)))
+    drawn += len(cands)
     # rounds at a falling target, on the budget the earlier ones left
-    points = [sum(1 << x for x in cand) for cand in cands]
     cut = _capacity_cut(v, k, t, lam, directed)
     best, certificate, nodes, cuts = descent, OPTIMAL, 0, 0
     for target in range(cap, max(len(descent), floor or 0), -1):
@@ -442,7 +486,7 @@ def _exact(
             break
         if len(deepest) == target:
             break
-    return SearchResult(len(best), design(v, tuple(best)), certificate, nodes, cuts, len(cands))
+    return SearchResult(len(best), design(v, tuple(best)), certificate, nodes, cuts, drawn)
 
 
 def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> SearchResult:

@@ -328,6 +328,16 @@ class TestHorsley:
     def test_high_remainder_not_applicable(self):
         assert horsley_bound_2(10, 4, 1).value is None
 
+    def test_integer_sub_cases_match_the_fraction_formula(self):
+        for v in range(4, 201):
+            for k in range(3, min(v, 31)):
+                for lam in (1, 2, 3):
+                    rep = horsley_bound_2(v, k, lam)
+                    want = fraction_horsley_2(v, k, lam)
+                    detail = rep.detail
+                    got = (rep.value, detail.get("cases"), detail.get("reason"), detail.get("weights"))
+                    assert got == want, (v, k, lam)
+
     def test_exactly_one_of_the_two_applies(self):
         for v in range(5, 20):
             for k in range(3, v):
@@ -337,6 +347,29 @@ class TestHorsley:
                     r, d = divmod(lam * (v - 1), k - 1)
                     assert one == (d < r - lam)
                     assert not (one and two)
+
+
+def fraction_horsley_2(v, k, lam):
+    """Value, sub-case values, reason and weights of horsley_bound_2, in Fractions as first written."""
+    r, d = divmod(lam * (v - 1), k - 1)
+    if d < r - lam:
+        return None, None, "d < r - lam", None
+    cases = {}
+    if k * (r + lam - 1) > 2 * d + 2:
+        cases["alpha"] = (Fraction(r - lam + 1, 2 * d + 2), Fraction(0))
+    if (r - lam) * k * (k - 1) > 2 * (d + 1) * (d + k):
+        cases["alpha-beta"] = (Fraction(r - lam, 2 * d + 2), Fraction(r - lam, 2 * (d + k)))
+    values = {}
+    for name, (alpha, beta) in cases.items():
+        den = k * (alpha - beta) - 1
+        if den <= 0:
+            values[name] = None
+            continue
+        val = math.floor((r * v * (alpha - beta) - alpha * v) / den)
+        values[name] = val if val >= 1 else None
+    usable = [val for val in values.values() if val is not None]
+    reason = None if usable else "no sub-case applies"
+    return (min(usable) if usable else None), values, reason, cases
 
 
 class TestExactByTheorems:

@@ -28,6 +28,7 @@ from packings.solve import (
     SearchResult,
     _pool,
     _stars,
+    _walk,
 )
 
 
@@ -315,11 +316,13 @@ class TestSearchEngine:
             after_pdn = gc.collect()
             dpdn_exact(8, 5)
             after_dpdn = gc.collect()
-            dpdn_exact(9, 6)  # answered on the first descent, its pool walk abandoned
+            dpdn_exact(9, 6)  # answered on the first descent, its walk abandoned at the cap
             after_abandoned = gc.collect()
+            pdn_exact(DesignParams(12, 3, 2, 1))  # the descent falls short and the pool is drawn
+            after_short = gc.collect()
         finally:
             gc.enable()
-        assert (after_pdn, after_dpdn, after_abandoned) == (0, 0, 0)
+        assert (after_pdn, after_dpdn, after_abandoned, after_short) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "search,size",
@@ -462,11 +465,7 @@ class TestCapacityBound:
         arrange = permutations if directed else combinations
         for t in (1, 2, 3):
             for v in range(t, 8):
-                code = {
-                    s: sum(a * v**i for i, a in enumerate(s)) if directed
-                    else sum(choose(a, i) for i, a in enumerate(s, 1))
-                    for s in arrange(range(v), t)
-                }
+                code = {s: unit_code(s, v, directed) for s in arrange(range(v), t)}
                 units = sum(1 << c for c in code.values())
                 for x, star in enumerate(_stars(v, t, directed)):
                     through = sum(1 << c for s, c in code.items() if x in s)
@@ -554,6 +553,13 @@ class TestSeededRounds:
         assert validate_packing(cut_short.witness, params).valid
 
 
+def unit_code(s, v, directed):
+    """A t-set's colex rank sum C(a_i, i), or an ordered t-tuple's sum a_i * v**(i-1)."""
+    if directed:
+        return sum(a * v**i for i, a in enumerate(s))
+    return sum(choose(a, i) for i, a in enumerate(s, 1))
+
+
 def admitted_by_filter(v, k, t, lam, directed):
     """The root and the candidates it admits, by filtering every candidate outright."""
     arrange = permutations if directed else combinations
@@ -576,12 +582,13 @@ def columns(masks):
 
 
 def drawn(v, k, t, lam, directed):
-    """Every (candidate, mask) pair the pool walk yields, as two lists."""
-    cands, masks = [], []
-    for cand, mask in _pool(v, k, t, lam, directed):
+    """Every (candidate, mask, point mask) triple the pool yields, as three lists."""
+    cands, masks, points = [], [], []
+    for cand, mask, point_mask in _pool(v, k, t, lam, directed):
         cands.append(cand)
         masks.append(mask)
-    return cands, masks
+        points.append(point_mask)
+    return cands, masks, points
 
 
 class TestPool:
@@ -594,9 +601,10 @@ class TestPool:
             for lam in (1, 2, 3):
                 for k in range(t, 9):
                     for v in range(k, 9):
-                        cands, masks = drawn(v, k, t, lam, directed)
+                        cands, masks, points = drawn(v, k, t, lam, directed)
                         assert cands == admitted_by_filter(v, k, t, lam, directed), (v, k, t, lam)
                         assert len(masks) == len(cands)
+                        assert points == [sum(1 << x for x in c) for c in cands]
                         cells += 1
         assert cells == 255
 
@@ -608,13 +616,44 @@ class TestPool:
             for lam in (1, 2):
                 for k in range(t, 7):
                     for v in range(k, 8):
-                        cands, masks = drawn(v, k, t, lam, directed)
+                        cands, masks, _ = drawn(v, k, t, lam, directed)
                         unit = {s: 1 << i for i, s in enumerate(arrange(range(v), t))}
                         table = [sum(unit[s] for s in combinations(c, t)) for c in cands]
                         assert columns(masks) == columns(table), (v, k, t, lam)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_walk_matches_a_filter_under_a_growing_taboo(self, directed):
+        # every lam-th mask the walk yields joins the taboo; the walk must
+        # yield, in order, the candidates whose masks miss the taboo of the
+        # moment each is reached, with their masks and point masks
+        arrange = permutations if directed else combinations
+        cells = 0
+        for t in (1, 2, 3):
+            for k in range(t, 9):
+                for v in range(k, 9):
+                    code = {s: 1 << unit_code(s, v, directed) for s in arrange(range(v), t)}
+                    every = [
+                        (c, sum(code[s] for s in combinations(c, t)), sum(1 << x for x in c))
+                        for c in arrange(range(v), k)
+                    ]
+                    for lam in (1, 2, 3):
+                        taboo, got = [0], []
+                        for triple in _walk(v, k, t, directed, taboo):
+                            got.append(triple)
+                            if len(got) % lam == 0:
+                                taboo[-1] |= triple[1]
+                        live, want = 0, []
+                        for triple in every:
+                            if not triple[1] & live:
+                                want.append(triple)
+                                if len(want) % lam == 0:
+                                    live |= triple[1]
+                        assert got == want, (v, k, t, lam)
+                        cells += 1
+        assert cells == 255
+
     def test_largest_oracle_pool(self):
-        cands, _ = drawn(9, 6, 2, 1, True)
+        cands = drawn(9, 6, 2, 1, True)[0]
         assert len(cands) == len(admitted_by_filter(9, 6, 2, 1, True)) == 3860
 
 
@@ -651,11 +690,15 @@ class TestFirstDescent:
             pdn_exact(DesignParams(*cell))
 
     def test_candidates_drawn(self):
-        assert dpdn_exact(9, 6).candidates == 599
+        # the candidates the walks yielded; at lam = 1 the descent's walk
+        # yields only the blocks it chooses, so a descent that meets the cap
+        # draws the cap
+        assert dpdn_exact(9, 6).candidates == 3
         assert dpdn_exact(8, 6).candidates == 2
-        # a cell that searches draws its whole pool
+        # a cell that searches then draws its whole pool: here after a
+        # descent of 17 blocks under a cap of 20
         whole = len(drawn(12, 3, 2, 1, False)[0])
-        assert pdn_exact(DesignParams(12, 3, 2, 1)).candidates == whole == 193
+        assert pdn_exact(DesignParams(12, 3, 2, 1)).candidates == 17 + whole == 210
 
     def test_budget_below_the_cap_searches(self):
         result = dpdn_exact(9, 6, SearchConfig(node_budget=2))
