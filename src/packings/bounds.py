@@ -8,8 +8,9 @@ arithmetic; nothing here touches floating point.
 One convexity search and one window loop serve every case: the second
 Johnson bound is the lam = 1 case of the convexity bound, and the directed
 window is the (t, lam) = (2, 2) case of the main counting window.  The
-convexity search walks the segments of constant floor(dk/v), not every
-block count; ``_first_true`` makes every monotone search.  ``bound_candidates``
+convexity search walks the segments of constant q = floor(dk/v), not every
+block count, from the first with q >= lam, as every d with q < lam passes;
+``_first_true`` makes every monotone search.  ``bound_candidates``
 alone decides which bounds apply, and ``best_upper_bound`` is their minimum.
 """
 
@@ -128,7 +129,8 @@ def gen_second_johnson_feasible(d: int, params: DesignParams) -> bool:
         raise ValueError(f"block count must be nonnegative, got {d}")
     v, t, lam = params.v, params.t, params.lam
     q, r = divmod(d * params.k, v)
-    return (t - 1) * choose(d, lam + 1) >= v * choose(q, lam + 1) + r * choose(q, lam)
+    # d, q >= 0 and lam >= 1, where math.comb(a, b) is 0 for b > a, as C(a, b) is
+    return (t - 1) * math.comb(d, lam + 1) >= v * math.comb(q, lam + 1) + r * math.comb(q, lam)
 
 
 def _passing_horizon(params: DesignParams, last: int) -> int:
@@ -175,10 +177,12 @@ def _bernoulli_horizon(params: DesignParams, last: int) -> int:
 def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
     """One less than the first block count failing the convexity counting test.
 
-    The test is tried on d = 0, ..., cap + 1, where cap is the
+    The test is tried on d = ceil(lam*v/k), ..., cap + 1, where cap is the
     Johnson-Schonheim bound, a segment at a time.  A segment is a run of d
-    on which q = floor(dk/v) is constant.  On it r = dk - qv grows by k per
-    step, so the slack
+    on which q = floor(dk/v) is constant.  Every smaller d passes: there
+    dk < lam*v, so q < lam and C(q, lam+1) = C(q, lam) = 0, while the left
+    side is never negative.  On a segment r = dk - qv grows by k per step,
+    so the slack
 
         f(d) = (t-1)*C(d, lam+1) - v*C(q, lam+1) - r*C(q, lam)
 
@@ -191,7 +195,8 @@ def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
     segments, so the first failure found is the first in d.  The walk ends
     before the smaller of two horizons D from which on every d passes
     (``_passing_horizon`` and ``_bernoulli_horizon``), so about
-    min(cap, D)*k/v + 1 segments are walked, at O(log(v/k)) tests each.
+    min(cap, D)*k/v - lam + 1 segments are walked, at O(log(v/k)) tests
+    each, and none when the walk starts past that end.
 
     The detail holds the first failing d with its q and r, or, when no d up
     to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
@@ -205,12 +210,12 @@ def _convexity_walk(params: DesignParams, cap: int) -> BoundReport:
     v, k, t, lam = params.v, params.k, params.t, params.lam
     last = cap + 1
     stop = min(_passing_horizon(params, last), _bernoulli_horizon(params, last)) - 1
-    start = 0
+    start = -(-lam * v // k)  # every d below it has q < lam, so the right side is 0
     while start <= stop:
         q = start * k // v
         end = min(((q + 1) * v - 1) // k, stop)
-        rising = k * choose(q, lam)
-        m = _first_true(lambda d: (t - 1) * choose(d, lam) >= rising, start, end)
+        rising = k * math.comb(q, lam)
+        m = _first_true(lambda d: (t - 1) * math.comb(d, lam) >= rising, start, end)
         if not gen_second_johnson_feasible(m, params):
             d = _first_true(lambda d: not gen_second_johnson_feasible(d, params), start, m)
             q, r = divmod(d * k, v)

@@ -29,6 +29,8 @@ EXIT_BUDGET = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # name -> subparser, on the top-level parser
+
     def error(self, message):  # argparse would exit(2); keep 2 for "not applicable"
         raise ValueError(message)
 
@@ -208,6 +210,7 @@ def cmd_table(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="packings", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices
 
     sub = commands.add_parser("bounds", help="print every applicable bound")
     _add_params(sub)
@@ -259,8 +262,12 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        # the top-level parser would hand a known command's subparser all that follows
+        # the command, so that subparser parses it alone, and argparse runs one pass
+        command = _PARSER.commands.get(argv[0]) if argv else None
+        args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
         return args.func(args)
     except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -253,11 +253,11 @@ class TestGenSecondJohnson:
         t=st.integers(2, 40),
         lam=st.integers(1, 400),
         k=st.integers(2, 3000),
-        v=st.integers(2, 3000),
+        data=st.data(),
     )
-    def test_every_count_past_the_bernoulli_horizon_passes(self, t, lam, k, v):
+    def test_every_count_past_the_bernoulli_horizon_passes(self, t, lam, k, data):
         k = max(k, t)
-        assume(v >= k)
+        v = data.draw(st.integers(k, 3000), label="v")
         params = DesignParams(v, k, t, lam)
         horizon = _bernoulli_horizon(params, 10**9)
         assume(horizon <= 10**9)
@@ -293,6 +293,34 @@ class TestGenSecondJohnson:
         assert ref.detail == {"first_infeasible": 7, "q": 2, "r": 3}
         assert failure_offset(ref, params) == 0
         assert gen_second_johnson_bound(params) == ref
+
+    def test_failure_at_the_walk_start(self):
+        # the walk starts at d = ceil(lam*v/k) = 2, where q = 1, r = 3 and LHS 1 < RHS 3
+        params = DesignParams(5, 4, 2, 1)
+        rep = gen_second_johnson_bound(params)
+        assert rep == linear_first_infeasible(params)
+        assert rep.value == 1 and rep.detail == {"first_infeasible": 2, "q": 1, "r": 3}
+
+    def test_walk_start_over_grid(self):
+        at_start = past_nearer = past_both = 0
+        for t in (2, 3):
+            for lam in (1, 2, 3):
+                for k in range(t, 41):
+                    for v in range(k, 41):
+                        params = DesignParams(v, k, t, lam)
+                        start = -(-lam * v // k)
+                        # below the start q < lam, so the right side of the test is 0
+                        assert all(gen_second_johnson_feasible(d, params) for d in range(start))
+                        ref = linear_first_infeasible(params)
+                        assert gen_second_johnson_bound(params) == ref, params
+                        at_start += ref.detail["first_infeasible"] == start
+                        last = johnson_schonheim(params).value + 1
+                        horizons = _passing_horizon(params, last), _bernoulli_horizon(params, last)
+                        past_nearer += start >= min(horizons)
+                        past_both += start >= max(horizons)
+        # the grid reaches first failures at the start itself, and cells where the
+        # start lies past the walk's stop (1937, 538 and 2 of 4563 cells)
+        assert at_start > 1500 and past_nearer > 400 and past_both >= 2
 
     def test_reduces_to_quadratic_form_at_lam_one(self):
         # pointwise agreement of the two feasibility tests for every d <= 12

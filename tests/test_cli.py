@@ -19,6 +19,7 @@ from packings import (
     save_design,
 )
 from packings.bounds import VIA_UNDIRECTED, bound_candidates, least_bound
+from packings import cli
 from packings.cli import main
 from packings.io import dumps_design, load_design
 from packings.io import DesignDocument
@@ -46,9 +47,53 @@ def test_parser_keeps_no_state_between_calls(capsys):
         ("bounds", "--v", "12", "--k", "7", "--directed"),
         ("bounds", "--v", "x"),
         ("bounds", "--v", "12", "--k", "7"),
+        ("table", "--v-min", "6", "--v-max", "9", "--k-min", "3", "--k-max", "5"),
+        ("export-code", "-i", "none.json", "--format", "cw", "--check-deletions", "2"),
     ]
     for argv in calls:
         assert run(capsys, *argv) == run_alone(*argv), argv
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main``, also when argparse exits, as on --help."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_known_command_parses_as_through_the_top_level_parser(
+    capsys, monkeypatch, tmp_path, twofold_12_7
+):
+    design = tmp_path / "d.json"
+    design.write_text(dumps_design(DesignDocument(twofold_12_7, 7, 2, 2)))
+    per_command = {
+        "bounds": ["--v", "12", "--k", "7", "--directed"],
+        "construct": ["--v", "14", "--k", "5"],
+        "direct": ["-i", str(design)],
+        "verify": ["-i", str(design)],
+        "solve": ["--v", "7", "--k", "3"],
+        "export-code": ["-i", str(design), "--format", "cw"],
+        "table": ["--v-min", "6", "--v-max", "8", "--k-min", "3", "--k-max", "4"],
+    }
+    assert set(cli._PARSER.commands) == set(per_command)
+    cases = [
+        [],
+        ["nosuch", "--v", "12"],
+        ["--help"],
+        ["bounds", "--v", "12", "--k", "7", "--lam", "2"],
+        ["bounds", "--v", "x", "--k", "7"],
+        ["table", "--v-min", "6", "--v-max", "8", "--k-min", "3", "--k-max", "4", "--t", "two"],
+    ]
+    for name, args in per_command.items():
+        # a call, an unrecognized argument, help, and the required options missing
+        cases += [[name, *args], [name, *args, "--nosuch"], [name, "--help"], [name]]
+    by_subparser = [outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli._PARSER, "commands", {})  # every argv through the top-level parser
+    for argv, want in zip(cases, by_subparser):
+        assert outcome(capsys, argv) == want, argv
 
 
 class TestBounds:
