@@ -20,7 +20,7 @@ from .construct import construct_optimal
 from .core import DesignParams, structural_diagnostics, validate_packing
 from .directing import direct_packing
 from .io import DesignDocument, dumps_code, dumps_design, load_design
-from .solve import OPTIMAL, SearchConfig, dpdn_exact, pdn_exact
+from .solve import OPTIMAL, SearchConfig, _exact
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -146,16 +146,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    """One search for both kinds of design, at any --t and --lambda; --directed orders the blocks."""
     config = SearchConfig(node_budget=args.budget)
-    if args.directed:
-        if args.t != 2 or args.lam != 1:
-            raise ValueError("directed solving supports only t=2 and lambda=1")
-        result = dpdn_exact(args.v, args.k, config)
-        label = "DPDN"
-    else:
-        result = pdn_exact(_params(args), config)
-        label = "PDN"
-    print(f"{label} = {result.n} ({result.certificate})")
+    result = _exact(_params(args), args.directed, config)
+    print(f"{'DPDN' if args.directed else 'PDN'} = {result.n} ({result.certificate})")
     return EXIT_OK if result.certificate == OPTIMAL else EXIT_BUDGET
 
 

@@ -29,8 +29,8 @@ def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
     """
     if not (v >= k >= t >= 1 and n >= 0):
         raise ValueError(f"require v >= k >= t >= 1 and n >= 0, got n={n} v={v} k={k} t={t}")
-    blocks = tuple(tuple(sorted((i * k + j) % v for j in range(k))) for i in range(n))
-    return PackingDesign(v, blocks)
+    # the design's constructor sorts each block into a tuple
+    return PackingDesign(v, [[(i * k + j) % v for j in range(k)] for i in range(n)])
 
 
 def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDesign:
@@ -88,7 +88,7 @@ def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDes
             )
         for block, extra in zip(blocks, inner.blocks):
             block.extend(x + shared for x in extra)
-    return PackingDesign(v, tuple(map(tuple, blocks)))
+    return PackingDesign(v, blocks)
 
 
 def construct_optimal(params: DesignParams) -> tuple[PackingDesign, BoundReport]:

@@ -158,4 +158,4 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
             i1, i2, i3 = hs
             new = insert_point(a, tuple(ordered[i1]), tuple(ordered[i2]), tuple(ordered[i3]))
             ordered[i1], ordered[i2], ordered[i3] = map(deque, new)
-    return DirectedPackingDesign(design.v, tuple(map(tuple, ordered)))
+    return DirectedPackingDesign(design.v, ordered)

@@ -1,5 +1,9 @@
 """Exact search for packing and directed packing numbers on small instances.
 
+One search, ``_exact``, serves both kinds of design at any (t, lam):
+``pdn_exact``, ``dpdn_exact`` (at (2, 1)), ``certify_optimal`` and
+``packings solve`` all run it.
+
 Depth-first search over candidate blocks in lexicographic order, for the
 cap first: after a first descent, it runs rounds at a falling target, each
 of which cuts only the subtrees that a capacity bound shows cannot reach
@@ -130,7 +134,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, combinations, permutations
 from operator import or_
 from typing import NamedTuple
 
@@ -317,14 +321,15 @@ def _walk(
     the directed masks span v**t bits, a factor v/(v-1) above P(v, 2) at
     t = 2.  taboo[-1] is read live: the caller may grow it between yields
     (and must never shrink it).  A prefix is cut with all its extensions
-    once its units meet it, when the prefix is pushed and again whenever the
-    walk comes back to it, and a candidate is yielded when its mask misses
-    it as the candidate is reached.  A prefix short of k - 1 points also
-    keeps its followers: the later points (for ordered tuples, the other
-    points) whose one-point extension missed taboo[-1] when the prefix was
-    pushed.  A subsequence's units are among the sequence's, so every point
-    of an extension is a follower, and a prefix with fewer followers than
-    the points it lacks is cut too.
+    when its units meet it as the prefix is pushed, and a candidate is
+    yielded when its mask misses it as the candidate is reached; a prefix
+    that the grown taboo meets later yields nothing more, as each extension
+    holds its units.  A prefix short of k - 1 points also keeps its
+    followers: the later points (for ordered tuples, the other points) whose
+    one-point extension missed taboo[-1] when the prefix was pushed.  A
+    subsequence's units are among the sequence's, so every point of an
+    extension is a follower, and a prefix with fewer followers than the
+    points it lacks is cut too.
     """
     shift = _shifts(v, t, directed)
     last = shift[t]
@@ -334,10 +339,6 @@ def _walk(
     stack = [((), [1] + [0] * t, 0, follow, iter(range(v if directed else v - k + 1)))]
     while stack:
         prefix, units, points, follow, tries = stack[-1]
-        if units[t] & taboo[-1]:
-            # the taboo grew to meet the prefix since it was pushed
-            stack.pop()
-            continue
         if len(prefix) == k - 1:
             # the last point: only the top level of units is needed
             stack.pop()
@@ -505,15 +506,13 @@ def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> Searc
 def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResult:
     """Maximum number of blocks in a directed packing at (t, lam) = (2, 1).
 
-    Searches ordered k-tuples in lexicographic order while tracking ordered
-    pairs (each usable once); the classical bounds of the unordered shadow
-    at multiplicity two cap the search.  The full candidate pool has
-    v!/(v-k)! tuples; above POOL_LIMIT (200,000, so v = 12 at k = 6 is
-    out), or with a mask table above MASK_BITS_LIMIT bits, it raises
-    ValueError before anything is allocated.
+    The one search over ordered k-tuples at ``DesignParams(v, k, 2, 1)``,
+    which checks v and k: ordered pairs are usable once, and the classical
+    bounds of the unordered shadow at multiplicity two cap it.  The full
+    pool has v!/(v-k)! tuples; above POOL_LIMIT (200,000, so v = 12 at
+    k = 6 is out), or with a mask table above MASK_BITS_LIMIT bits, it
+    raises ValueError before anything is allocated.
     """
-    if not v >= k >= 2:
-        raise ValueError(f"require v >= k >= 2, got v={v} k={k}")
     return _exact(DesignParams(v, k, 2, 1), True, config)
 
 
@@ -524,8 +523,9 @@ def certify_optimal(
 ) -> bool:
     """True when the design's block count provably equals the packing number.
 
-    A match against the best upper bound settles it immediately.  Otherwise
-    the exact search runs with floor n, so its one target is n + 1: reaching
+    For an unordered or a directed design, at any (t, lam).  A match
+    against the best upper bound settles it immediately.  Otherwise the
+    exact search runs with floor n, so its one target is n + 1: reaching
     it shows n is not optimal, exhausting the round's tree proves that no
     design has n + 1 blocks, and a search that runs out of budget reports False.
     """
@@ -534,7 +534,5 @@ def certify_optimal(
     n = len(design.blocks)
     if n == best_upper_bound(params, directed=directed).value:
         return True
-    if directed and (params.t, params.lam) != (2, 1):
-        return False
     result = _exact(params, directed, config, floor=n)
     return result.certificate == OPTIMAL and result.n <= n

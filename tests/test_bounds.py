@@ -587,3 +587,24 @@ class TestBestUpperBound:
                         continue
                     assert best_upper_bound(params).value == exact.value
                     assert best_upper_bound(params, include_exact=False).value >= exact.value
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: hanani_b(2, 3), "require v >= k >= 2, got v=2 k=3"),
+        (lambda: hanani_b(5, 1), "require v >= k >= 2, got v=5 k=1"),
+        (lambda: second_johnson(5, 3, 1), "require v >= k >= t >= 2, got v=5 k=3 t=1"),
+        (lambda: gen_second_johnson_feasible(-1, DesignParams(6, 3, 2)),
+         "block count must be nonnegative, got -1"),
+        (lambda: horsley_bound_1(6, 6), "require 3 <= k < v, got v=6 k=6"),
+        (lambda: horsley_bound_1(6, 2), "require 3 <= k < v, got v=6 k=2"),
+        (lambda: horsley_bound_2(5, 5, 2), "require 3 <= k < v, got v=5 k=5"),
+        (lambda: exact_by_theorems(DesignParams(5, 3, 1)), "require t >= 2, got t=1"),
+        (lambda: exact_family(2, 2, 2), "require n >= lam + 1, got n=2 lam=2"),
+    ],
+)
+def test_input_guards_raise_value_error_with_the_failed_condition(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (ValueError, message)

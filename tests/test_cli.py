@@ -54,6 +54,13 @@ def test_parser_keeps_no_state_between_calls(capsys):
         assert run(capsys, *argv) == run_alone(*argv), argv
 
 
+def test_python_m_packings_exits_with_the_command_code():
+    # ``python -m packings`` runs ``cli.run``, which exits with what ``main`` returns
+    code, out, err = run_alone("bounds", "--v", "6", "--k", "3", "--tsv")
+    assert (code, err) == (0, "") and out.startswith("provenance\tvalue\tkind\n")
+    assert run_alone() == (1, "", "error: the following arguments are required: command\n")
+
+
 def outcome(capsys, argv):
     """Exit code, stdout and stderr of ``main``, also when argparse exits, as on --help."""
     try:
@@ -339,11 +346,19 @@ class TestSolve:
         assert code == 3
         assert "budget-exhausted lower bound" in out
 
-    def test_directed_requires_pair_settings(self, capsys):
-        code, _, err = run(
-            capsys, "solve", "--v", "6", "--k", "4", "--directed", "--lambda", "2"
-        )
-        assert code == 1 and "directed solving" in err
+    def test_directed_at_any_t_and_lambda(self, capsys):
+        cases = [
+            (("--v", "5", "--k", "3", "--t", "3"), 0, "DPDN = 60 (optimal)\n"),
+            (("--v", "6", "--k", "3", "--lambda", "2"), 0, "DPDN = 20 (optimal)\n"),
+            (("--v", "7", "--k", "4", "--t", "3", "--budget", "2000"),
+             3, "DPDN = 43 (budget-exhausted lower bound)\n"),
+        ]
+        for argv, code, out in cases:
+            assert run(capsys, "solve", "--directed", *argv) == (code, out, ""), argv
+
+    def test_directed_bad_block_size_is_refused_by_the_params(self, capsys):
+        code, out, err = run(capsys, "solve", "--v", "3", "--k", "5", "--directed")
+        assert (code, out, err) == (1, "", "error: require v >= k >= t >= 1, got v=3 k=5 t=2\n")
 
     def test_oversized_pool_is_invalid_input(self, capsys):
         for extra in ((), ("--directed",)):
@@ -430,6 +445,12 @@ class TestExportCode:
         src.write_text(dumps_design(DesignDocument(pack_6_3, 3, 2, 1)))
         code, _, err = run(capsys, "export-code", "-i", str(src), "--format", "indel")
         assert code == 1 and "directed" in err
+
+    def test_constant_weight_needs_an_unordered_design(self, capsys, tmp_path, directed_6_4):
+        src = tmp_path / "d.json"
+        src.write_text(dumps_design(DesignDocument(directed_6_4, 4, 2, 1)))
+        code, out, err = run(capsys, "export-code", "-i", str(src), "--format", "cw")
+        assert (code, out, err) == (1, "", "error: constant-weight export needs an unordered design\n")
 
 
 class TestTable:

@@ -217,6 +217,25 @@ class TestIndelCode:
             IndelCode(4, 3, ((0, 0, 1),))
         assert IndelCode(4, 3, ((0, 0, 1),), allow_repeats=True).words
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: IndelCode(3, 2, ((0, 1), (0, 1, 2))), "word (0, 1, 2) does not have length 2"),
+            (lambda: IndelCode(3, 2, ((0, 3),)), "word (0, 3) uses symbols outside the alphabet"),
+            (lambda: IndelCode(3, 2, ((-1, 0),)), "word (-1, 0) uses symbols outside the alphabet"),
+            (lambda: to_indel_code(DirectedPackingDesign(4, ((0, 1, 2),)), DesignParams(4, 3, 2, 2)),
+             "the deletion-code equivalence requires lam = 1"),
+            (lambda: max_pairwise_lcs(IndelCode(3, 2, ((0, 1),))),
+             "pairwise LCS undefined for fewer than two words"),
+            (lambda: max_pairwise_lcs(IndelCode(3, 2, ())),
+             "pairwise LCS undefined for fewer than two words"),
+        ],
+    )
+    def test_input_guards_name_the_fault(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert (exc.type, str(exc.value)) == (ValueError, message)
+
     def test_deletion_count_range(self, directed_6_4):
         code = to_indel_code(directed_6_4, DesignParams(6, 4, 2, 1))
         with pytest.raises(ValueError):

@@ -184,3 +184,26 @@ class TestConstructOptimal:
                     assert len(design.blocks) == report.value
                     assert validate_packing(design, params).valid
                     assert max(point_frequencies(design)) <= lam + 1
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: balanced_packing(2, 3, 4),
+         "require v >= k >= t >= 1 and n >= 0, got n=2 v=3 k=4 t=2"),
+        (lambda: balanced_packing(-1, 5, 3),
+         "require v >= k >= t >= 1 and n >= 0, got n=-1 v=5 k=3 t=2"),
+        (lambda: general_construction(2, 5, 3, 1, 1),
+         "hypotheses not met: need v >= k >= t >= 2, got v=5 k=3 t=1"),
+        (lambda: general_construction(2, 3, 4, 2, 1),
+         "hypotheses not met: need v >= k >= t >= 2, got v=3 k=4 t=2"),
+        (lambda: general_construction(2, 5, 3, 2, 0),
+         "hypotheses not met: need lam >= 1 and n >= 1, got lam=0 n=2"),
+        (lambda: general_construction(0, 5, 3, 2, 1),
+         "hypotheses not met: need lam >= 1 and n >= 1, got lam=1 n=0"),
+    ],
+)
+def test_input_guards_raise_value_error_with_the_failed_condition(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (ValueError, message)

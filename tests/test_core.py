@@ -82,6 +82,13 @@ class TestTypes:
         with pytest.raises(StructuralError, match=r"^duplicate point 1 in block \(1, 1, 7\)$"):
             PackingDesign(4, ((0, 1), (7, 1, 1), (9,)))
 
+    @pytest.mark.parametrize("kind", [PackingDesign, DirectedPackingDesign])
+    @pytest.mark.parametrize("v", [0, -3])
+    def test_design_needs_a_positive_point_count(self, kind, v):
+        with pytest.raises(StructuralError) as exc:
+            kind(v, ())
+        assert (exc.type, str(exc.value)) == (StructuralError, f"v must be positive, got {v}")
+
     def test_directed_order_preserved(self):
         d = DirectedPackingDesign(5, ((3, 1, 2),))
         assert d.blocks == ((3, 1, 2),)

@@ -93,6 +93,14 @@ class TestDesignFiles:
         with pytest.raises(StructuralError, match="malformed"):
             loads_design("not json at all")
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"design"', "null"])
+    def test_json_value_must_be_an_object(self, text):
+        with pytest.raises(StructuralError) as exc:
+            loads_design(text)
+        assert (exc.type, str(exc.value)) == (
+            StructuralError, "malformed design file: expected a JSON object"
+        )
+
     def test_oversized_block(self):
         with pytest.raises(StructuralError, match="larger than k"):
             loads_design(

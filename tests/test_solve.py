@@ -808,6 +808,90 @@ class TestDpdnExact:
         assert result.n == brute_dpdn(4, 3)
 
 
+def dfs_directed(v, k, t, lam, stop, steps=200_000):
+    """Independent oracle: the most blocks in a directed packing, by a plain depth-first search.
+
+    Builds multisets of ordered k-tuples of distinct points, one
+    index-nondecreasing sequence each, and takes a block while every ordered
+    t-subsequence of it lies in fewer than lam chosen blocks.  Nothing is
+    pruned: it returns the greatest depth reached, or stop once a design of
+    stop blocks is found, and raises _Budget past steps nodes.
+    """
+    cands = list(permutations(range(v), k))
+    unit_ids = {u: i for i, u in enumerate(permutations(range(v), t))}
+    units = [[unit_ids[u] for u in combinations(c, t)] for c in cands]
+    counts = [0] * len(unit_ids)
+    best = nodes = 0
+
+    def grow(start, depth):
+        nonlocal best, nodes
+        best = max(best, depth)
+        if best == stop:
+            raise _Done
+        for i in range(start, len(cands)):
+            if all(counts[u] < lam for u in units[i]):
+                nodes += 1
+                if nodes > steps:
+                    raise _Budget
+                for u in units[i]:
+                    counts[u] += 1
+                grow(i, depth + 1)
+                for u in units[i]:
+                    counts[u] -= 1
+
+    try:
+        grow(0, 0)
+    except _Done:
+        pass
+    return best
+
+
+# The directed cells with (t, lam) != (2, 1), t, lam <= 3, k <= 4 and v <= 5 that the
+# oracle test leaves out: the oracle does not finish these within 200,000 steps, and
+# the search does not certify (5, 4, 3, 3) within 200,000 nodes.
+DIRECTED_ORACLE_LEFT_OUT = {
+    (5, 3, 1, 3), (5, 4, 1, 3), (4, 2, 2, 2), (5, 2, 2, 2), (5, 3, 2, 2), (5, 4, 2, 2),
+    (4, 2, 2, 3), (5, 2, 2, 3), (4, 3, 2, 3), (5, 3, 2, 3), (5, 4, 2, 3), (4, 3, 3, 1),
+    (5, 3, 3, 1), (5, 4, 3, 1), (4, 3, 3, 2), (5, 3, 3, 2), (4, 4, 3, 2), (5, 4, 3, 2),
+    (4, 3, 3, 3), (5, 3, 3, 3), (4, 4, 3, 3), (5, 4, 3, 3),
+}
+DIRECTED_ORACLE_CELLS = [
+    (v, k, t, lam)
+    for t in (1, 2, 3) for lam in (1, 2, 3) for k in range(t, 5) for v in range(k, 6)
+    if (t, lam) != (2, 1) and (v, k, t, lam) not in DIRECTED_ORACLE_LEFT_OUT
+]
+
+
+class TestDirectedAtAnyPair:
+    """The one search, on ordered blocks at (t, lam) other than (2, 1)."""
+
+    def test_agrees_with_a_plain_search(self):
+        assert len(DIRECTED_ORACLE_CELLS) == 53
+        for cell in DIRECTED_ORACLE_CELLS:
+            params = DesignParams(*cell)
+            result = solve._exact(params, True, None)
+            assert result.certificate == OPTIMAL, cell
+            assert validate_directed(result.witness, params).valid, cell
+            assert len(result.witness.blocks) == result.n
+            assert dfs_directed(*cell, stop=result.n + 1) == result.n, cell
+
+    def test_certify_runs_the_search_below_the_bound(self, monkeypatch):
+        params = DesignParams(3, 2, 2, 2)
+        witness = solve._exact(params, True, None).witness
+        short = DirectedPackingDesign(3, witness.blocks[:-1])
+        assert len(short.blocks) < best_upper_bound(params, directed=True).value
+        calls = []
+        search = solve._exact
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "_exact", spy)
+        assert not certify_optimal(short, params)
+        assert calls == [((params, True, None), {"floor": len(short.blocks)})]
+
+
 class TestCertifyOptimal:
     def test_optimal_triple_packing(self, pack_6_3):
         assert certify_optimal(pack_6_3, DesignParams(6, 3, 2, 1))
@@ -820,7 +904,7 @@ class TestCertifyOptimal:
         assert certify_optimal(directed_12_7, DesignParams(12, 7, 2, 1))
 
     def test_directed_below_the_bound(self, directed_6_4):
-        # the search settles (t, lam) = (2, 1); elsewhere a bound miss is inconclusive
+        # a bound miss is settled by the search, at (2, 1) and at (t, lam) = (3, 1)
         three = DirectedPackingDesign(6, directed_6_4.blocks[:3])
         assert not certify_optimal(three, DesignParams(6, 4, 2, 1))
         reversed_pair = DirectedPackingDesign(4, ((0, 1, 2, 3), (3, 2, 1, 0)))

@@ -51,3 +51,22 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     for command in commands:
         argv = shlex.split(command)[1:]
         assert main(argv) == 0, (command, capsys.readouterr().err)
+
+
+def test_every_module_level_import_is_used():
+    # a name a module imports and never reads is dead weight; `__init__` imports to re-export
+    found = []
+    for path in sorted(Path(packings.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
