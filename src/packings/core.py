@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress, islice, repeat
 from typing import Iterable, Sequence, Union
 
 
@@ -60,7 +60,8 @@ class DesignParams:
 class _Design:
     """Blocks over the point set {0, ..., v-1}; ``_canon`` puts each block in canonical form.
 
-    Sizes may vary, and empty or repeated blocks are legal input.
+    ``_least`` and ``_greatest`` read a canonical block's least and greatest
+    point.  Sizes may vary, and empty or repeated blocks are legal input.
     """
 
     v: int
@@ -70,10 +71,18 @@ class _Design:
         if self.v < 1:
             raise StructuralError(f"v must be positive, got {self.v}")
         blocks = tuple(map(self._canon, self.blocks))
-        for b in blocks:
-            if b and not (0 <= min(b) and max(b) < self.v and len(set(b)) == len(b)):
-                seen = set()  # walk the points only to name the first bad one
+        filled = list(filter(None, blocks))
+        if filled and not (
+            set(map(type, chain.from_iterable(filled))) == {int}
+            and 0 <= min(map(self._least, filled))
+            and max(map(self._greatest, filled)) < self.v
+            and sum(map(len, map(set, filled))) == sum(map(len, filled))
+        ):
+            for b in blocks:  # walk the blocks only to name the first bad point
+                seen = set()
                 for x in b:
+                    if type(x) is not int:
+                        raise StructuralError(f"point {x!r} is not an integer")
                     if not 0 <= x < self.v:
                         raise StructuralError(f"point {x} out of range for v={self.v}")
                     if x in seen:
@@ -91,6 +100,9 @@ class PackingDesign(_Design):
     """An unordered design: blocks over {0, ..., v-1}, canonicalized to sorted tuples."""
 
     _canon = staticmethod(lambda block: tuple(sorted(block)))
+    # a sorted block starts with its least point and ends with its greatest
+    _least = staticmethod(operator.itemgetter(0))
+    _greatest = staticmethod(operator.itemgetter(-1))
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,8 @@ class DirectedPackingDesign(_Design):
     """An ordered design: duplicate-free point sequences over {0, ..., v-1}."""
 
     _canon = staticmethod(tuple)
+    _least = staticmethod(min)
+    _greatest = staticmethod(max)
 
 
 Design = Union[PackingDesign, DirectedPackingDesign]
@@ -191,7 +205,7 @@ def _intersection_worst(
     (points scanned, pairs compared) is counted against ``budget``, and
     None is returned once it runs over, or when a block repeats a point.
     """
-    pos = [{x: i for i, x in enumerate(block)} for block in blocks]
+    pos = [dict(zip(block, range(len(block)))) for block in blocks]
     if any(len(p) != len(block) for p, block in zip(pos, blocks)):
         return None
     ordered = any(any(map(operator.gt, block, block[1:])) for block in blocks)
@@ -206,7 +220,7 @@ def _intersection_worst(
         top, grown = level, []
         for subset, common, _ in level:
             for j in range(subset[-1] + 1, n):
-                shared = [x for x in common if x in pos[j]]
+                shared = list(filter(pos[j].__contains__, common))
                 others = [pos[i] for i in subset[1:] + (j,)] if ordered else []
                 # at least one unit per subset tried, so the budget also caps their number
                 work += 1 + len(common) + (len(shared) ** 2 * len(others) if len(others) > 1 else 0)
@@ -231,11 +245,11 @@ def _counter_worst(
     blocks: Sequence[Sequence[int]], t: int
 ) -> tuple[tuple[int, ...] | None, int]:
     """The worst t-tuple from a count of every block's t-subsequences."""
-    counts = Counter(sub for block in blocks for sub in combinations(block, t))
+    counts = Counter(chain.from_iterable(map(combinations, blocks, repeat(t))))
     if not counts:
         return None, 0
     top = max(counts.values())
-    return min(s for s, c in counts.items() if c == top), top
+    return min(compress(counts, map(top.__eq__, counts.values()))), top
 
 
 def worst_multiplicity(
@@ -252,7 +266,7 @@ def worst_multiplicity(
     share a t-tuple.  The walk runs when its estimate is the lower, and
     hands over to the count if its work would pass the count's.
     """
-    count_cost = sum(choose(len(block), t) for block in blocks)
+    count_cost = sum(map(math.comb, map(len, blocks), repeat(t)))
     if not count_cost:
         return None, 0
     walk_cost = choose(len(blocks), 2) * max(map(len, blocks))
@@ -287,7 +301,11 @@ def validate_packing(
     worst, mult = worst_multiplicity(design.blocks, params.t)
     holders = ()
     if worst is not None:
-        holders = tuple(i for i, b in enumerate(design.blocks) if is_subsequence(worst, b))
+        blocks = design.blocks
+        # only a block that holds the first point can hold the t-tuple
+        held = map(operator.contains, blocks, repeat(worst[0]))
+        candidates = compress(range(len(blocks)), held)
+        holders = tuple(i for i in candidates if is_subsequence(worst, blocks[i]))
         if len(holders) != mult:
             raise RuntimeError(
                 f"t-set {worst} counted {mult} times but held by {len(holders)} blocks"

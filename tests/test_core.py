@@ -83,6 +83,15 @@ class TestTypes:
             PackingDesign(4, ((0, 1), (7, 1, 1), (9,)))
 
     @pytest.mark.parametrize("kind", [PackingDesign, DirectedPackingDesign])
+    @pytest.mark.parametrize("block,bad", [((0.5, 1, 2), "0.5"), ((True, 3, 4), "True")])
+    def test_points_must_be_integers(self, kind, block, bad):
+        # a float or a bool compares and hashes like an int, so only its type gives it away
+        with pytest.raises(StructuralError, match=rf"^point {bad} is not an integer$"):
+            kind(5, ((0, 1), block))
+        with pytest.raises(StructuralError, match=r"^point 0.5 is not an integer$"):
+            kind(5, [(0.5, 1, 2), (True, 3, 4)])
+
+    @pytest.mark.parametrize("kind", [PackingDesign, DirectedPackingDesign])
     @pytest.mark.parametrize("v", [0, -3])
     def test_design_needs_a_positive_point_count(self, kind, v):
         with pytest.raises(StructuralError) as exc:
