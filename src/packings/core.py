@@ -60,8 +60,7 @@ class DesignParams:
 class _Design:
     """Blocks over the point set {0, ..., v-1}; ``_canon`` puts each block in canonical form.
 
-    ``_least`` and ``_greatest`` read a canonical block's least and greatest
-    point.  Sizes may vary, and empty or repeated blocks are legal input.
+    Sizes may vary, and empty or repeated blocks are legal input.
     """
 
     v: int
@@ -70,19 +69,21 @@ class _Design:
     def __post_init__(self) -> None:
         if self.v < 1:
             raise StructuralError(f"v must be positive, got {self.v}")
-        blocks = tuple(map(self._canon, self.blocks))
-        filled = list(filter(None, blocks))
-        if filled and not (
-            set(map(type, chain.from_iterable(filled))) == {int}
-            and 0 <= min(map(self._least, filled))
-            and max(map(self._greatest, filled)) < self.v
-            and sum(map(len, map(set, filled))) == sum(map(len, filled))
+        rows = tuple(map(tuple, self.blocks))
+        # types first, so that sorting a block never compares a str with an int;
+        # bool is a subclass of int, not an int here
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+            raise StructuralError(f"point {bad!r} is not an integer")
+        blocks = tuple(map(self._canon, rows))
+        if any(blocks) and not (
+            0 <= min(chain.from_iterable(blocks))
+            and max(chain.from_iterable(blocks)) < self.v
+            and sum(map(len, map(set, blocks))) == sum(map(len, blocks))
         ):
             for b in blocks:  # walk the blocks only to name the first bad point
                 seen = set()
                 for x in b:
-                    if type(x) is not int:
-                        raise StructuralError(f"point {x!r} is not an integer")
                     if not 0 <= x < self.v:
                         raise StructuralError(f"point {x} out of range for v={self.v}")
                     if x in seen:
@@ -100,9 +101,6 @@ class PackingDesign(_Design):
     """An unordered design: blocks over {0, ..., v-1}, canonicalized to sorted tuples."""
 
     _canon = staticmethod(lambda block: tuple(sorted(block)))
-    # a sorted block starts with its least point and ends with its greatest
-    _least = staticmethod(operator.itemgetter(0))
-    _greatest = staticmethod(operator.itemgetter(-1))
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,6 @@ class DirectedPackingDesign(_Design):
     """An ordered design: duplicate-free point sequences over {0, ..., v-1}."""
 
     _canon = staticmethod(tuple)
-    _least = staticmethod(min)
-    _greatest = staticmethod(max)
 
 
 Design = Union[PackingDesign, DirectedPackingDesign]
@@ -205,7 +201,7 @@ def _intersection_worst(
     (points scanned, pairs compared) is counted against ``budget``, and
     None is returned once it runs over, or when a block repeats a point.
     """
-    pos = [dict(zip(block, range(len(block)))) for block in blocks]
+    pos = [{x: i for i, x in enumerate(block)} for block in blocks]
     if any(len(p) != len(block) for p, block in zip(pos, blocks)):
         return None
     ordered = any(any(map(operator.gt, block, block[1:])) for block in blocks)
@@ -220,7 +216,7 @@ def _intersection_worst(
         top, grown = level, []
         for subset, common, _ in level:
             for j in range(subset[-1] + 1, n):
-                shared = list(filter(pos[j].__contains__, common))
+                shared = [x for x in common if x in pos[j]]
                 others = [pos[i] for i in subset[1:] + (j,)] if ordered else []
                 # at least one unit per subset tried, so the budget also caps their number
                 work += 1 + len(common) + (len(shared) ** 2 * len(others) if len(others) > 1 else 0)

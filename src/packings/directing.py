@@ -20,13 +20,15 @@ the block-3 range ends is a step at which the two ranges meet; ``a`` takes
 the least m they share.
 
 Cost: a point in one or two blocks costs O(1).  For a point in three
-blocks, the shared points are found by intersecting the blocks' point sets,
-which is O(k) at C speed; when the three blocks share nothing, ``a`` goes
-to the front of each, since every check below then holds vacuously.
-Otherwise the positions of the s shared points are found by ``index``
-(O(sk) at C speed) and the walk, the range counts (by bisection) and the
-checks run over the shared points only, O(s log s) in Python.
-``direct_packing`` inserts into its blocks in place.
+blocks, ``direct_packing`` first tests at C speed, with one set of block 1
+and one of block 2, whether the three blocks share any point.  When they
+share none, ``a`` goes to the front of each, where ``insert_point`` would
+put it, since every check below then holds vacuously.  Otherwise
+``insert_point`` runs on tuples of the three blocks and the new tuples
+replace them.  It maps each block's points to their positions, intersects
+the maps and checks its placement on sets of block prefixes, all O(k) at C
+speed; the reversal checks, the walk and the range counts (by bisection)
+run over the s shared points only, O(s log s) in Python.
 
 ``insert_point`` raises ``ValueError`` on input that breaks the premises
 (an overlap not reversed, a point in all three blocks, ``a`` already in a
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Sequence
+from operator import lt
 
 from .core import DirectedPackingDesign, PackingDesign, worst_multiplicity
 
@@ -48,83 +50,16 @@ class DirectingError(ValueError):
     """The input is not a 2-fold packing with every frequency at most three."""
 
 
-def _along(
-    first: Sequence[int], second: Sequence[int], shared: set[int], names: str
-) -> list[tuple[int, int, int]]:
-    """(position in first, position in second, point) for each shared point, in first's order.
-
-    Raises unless the shared points appear reversed in ``second``.
-    """
-    along = sorted(zip(map(first.index, shared), map(second.index, shared), shared))
-    for (_, q, last), (_, r, e) in zip(along, along[1:]):
-        if r > q:
-            raise ValueError(
-                f"point {e} follows point {last} in both blocks {names}; "
-                "a shared pair must appear reversed in the later block"
-            )
-    return along
-
-
-def _slots(
-    a: int, t1: Sequence[int], t2: Sequence[int], t3: Sequence[int]
-) -> tuple[int, int, int]:
-    """Where ``a`` goes in each of its three ordered blocks; raises as ``insert_point`` does."""
-    s1, s2, s3 = set(t1), set(t2), set(t3)
-    if a in s1 or a in s2 or a in s3:
-        raise ValueError(f"point {a} is already in a block")
-    x, y, z = s1 & s2, s1 & s3, s2 & s3
-    if not (x or y or z):
-        return 0, 0, 0  # nothing shared: every check below holds vacuously
-    if x & s3:
-        raise ValueError(f"point {min(x & s3, key=t1.index)} lies in all three blocks")
-    xa, ya, za = (
-        _along(t1, t2, x, "1 and 2"), _along(t1, t3, y, "1 and 3"), _along(t2, t3, z, "2 and 3")
-    )
-    xs = [p2 for _, p2, _ in xa]  # block-2 positions, decreasing
-    ys = [p3 for _, p3, _ in ya]
-    z2 = [p2 for p2, _, _ in za]  # block-2 positions, increasing
-    z3 = [p3 for _, p3, _ in reversed(za)]  # block-3 positions, increasing
-
-    def z_before(s: int) -> int:  # z-points before slot s of block 2
-        return bisect_left(z2, s)
-
-    def z_after(s: int) -> int:  # z-points after slot s of block 3
-        return len(z3) - bisect_left(z3, s)
-
-    # slot 0 of block 1, then the slot after each shared point of block 1 in turn
-    steps = sorted([(p1, 1, 0) for p1, _, _ in xa] + [(p1, 0, 1) for p1, _, _ in ya])
-    j = k = 0  # x- and y-points before slot1 of block 1
-    for p1, dj, dk in [(-1, 0, 0)] + steps:
-        slot1, j, k = p1 + 1, j + dj, k + dk
-        # a sits after x_{j+1} and before x_j in block 2, likewise y in block 3
-        lo2 = xs[j] + 1 if j < len(xs) else 0
-        hi2 = xs[j - 1] if j else len(t2)
-        lo3 = ys[k] + 1 if k < len(ys) else 0
-        hi3 = ys[k - 1] if k else len(t3)
-        m = max(z_before(lo2), z_after(hi3))
-        if m <= min(z_before(hi2), z_after(lo3)):
-            break
-    else:
-        raise RuntimeError(f"no slot for point {a} in blocks {tuple(t1)}, {tuple(t2)}, {tuple(t3)}")
-
-    slot2 = max(lo2, z2[m - 1] + 1 if m else 0)
-    slot3 = max(lo3, z3[len(z3) - 1 - m] + 1 if m < len(z3) else 0)
-    # each x, y and z point must end up before a in exactly one of its two blocks
-    if not (
-        all((p < slot1) != (q < slot2) for p, q, _ in xa)
-        and all((p < slot1) != (q < slot3) for p, q, _ in ya)
-        and all((p < slot2) != (q < slot3) for p, q, _ in za)
-    ):
-        new = _placed(a, (t1, t2, t3), (slot1, slot2, slot3))
-        raise RuntimeError(f"point {a} misplaced: {new}")
-    return slot1, slot2, slot3
-
-
-def _placed(
-    a: int, blocks: Iterable[Sequence[int]], slots: Iterable[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Each block as a tuple with ``a`` inserted at its slot."""
-    return tuple((*t[:s], a, *t[s:]) for t, s in zip(map(tuple, blocks), slots))
+def _reversed(points: list[int], pos: dict[int, int], names: str) -> list[int]:
+    """The positions ``pos`` gives ``points``; raises unless they decrease."""
+    ps = list(map(pos.__getitem__, points))
+    if any(map(lt, ps, ps[1:])):
+        i = next(i for i in range(1, len(ps)) if ps[i] > ps[i - 1])
+        raise ValueError(
+            f"point {points[i]} follows point {points[i - 1]} in both blocks {names}; "
+            "a shared pair must appear reversed in the later block"
+        )
+    return ps
 
 
 def insert_point(
@@ -140,7 +75,55 @@ def insert_point(
     slot after the forced neighbours, so that every point sharing two
     blocks with ``a`` sees it once on each side.
     """
-    return _placed(a, (t1, t2, t3), _slots(a, t1, t2, t3))
+    pos1 = dict(zip(t1, range(len(t1))))
+    pos2 = dict(zip(t2, range(len(t2))))
+    pos3 = dict(zip(t3, range(len(t3))))
+    if a in pos1 or a in pos2 or a in pos3:
+        raise ValueError(f"point {a} is already in a block")
+    x = pos1.keys() & pos2.keys()
+    y = pos1.keys() & pos3.keys()
+    if x & y:
+        raise ValueError(f"point {min(x & y, key=pos1.__getitem__)} lies in all three blocks")
+    z = pos2.keys() & pos3.keys()
+    shared1 = sorted(x | y, key=pos1.__getitem__)  # the x- and y-points in block-1 order
+    xs = _reversed([e for e in shared1 if e in x], pos2, "1 and 2")  # block-2 positions
+    ys = _reversed([e for e in shared1 if e in y], pos3, "1 and 3")
+    z2 = sorted(map(pos2.__getitem__, z))  # block-2 positions of the z-points, increasing
+    z3 = _reversed([t2[p] for p in z2], pos3, "2 and 3")[::-1]  # block-3 ones, increasing
+
+    # slot 0 of block 1, then the slot after each shared point of block 1 in turn
+    j = k = slot1 = 0  # x- and y-points before slot1 of block 1
+    for e in [None] + shared1:
+        if e is not None:
+            slot1 = pos1[e] + 1
+            if e in x:
+                j += 1
+            else:
+                k += 1
+        # a sits after x_{j+1} and before x_j in block 2, likewise y in block 3
+        lo2 = xs[j] + 1 if j < len(xs) else 0
+        hi2 = xs[j - 1] if j else len(t2)
+        lo3 = ys[k] + 1 if k < len(ys) else 0
+        hi3 = ys[k - 1] if k else len(t3)
+        # m: z-points before a in block 2 and after it in block 3
+        m = max(bisect_left(z2, lo2), len(z) - bisect_left(z3, hi3))
+        if m <= min(bisect_left(z2, hi2), len(z) - bisect_left(z3, lo3)):
+            break
+    else:
+        raise RuntimeError(f"no slot for point {a} in blocks {t1}, {t2}, {t3}")
+
+    slot2 = max(lo2, z2[m - 1] + 1 if m else 0)
+    slot3 = max(lo3, z3[len(z) - 1 - m] + 1 if m < len(z) else 0)
+    new = (
+        t1[:slot1] + (a,) + t1[slot1:],
+        t2[:slot2] + (a,) + t2[slot2:],
+        t3[:slot3] + (a,) + t3[slot3:],
+    )
+    # Bi: the points before a in new block i; each x, y and z point must be in one of its two
+    b1, b2, b3 = set(t1[:slot1]), set(t2[:slot2]), set(t3[:slot3])
+    if not (x <= b1 ^ b2 and y <= b1 ^ b3 and z <= b2 ^ b3):
+        raise RuntimeError(f"point {a} misplaced: {new}")
+    return new
 
 
 def _check_directable(design: PackingDesign) -> dict[int, list[int]]:
@@ -167,7 +150,7 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
     hold them, starting from empty blocks.
     """
     holders = _check_directable(design)
-    # deques take a point at either end in O(1) and at a slot in place
+    # deques take a point at either end in O(1)
     ordered: list[deque[int]] = [deque() for _ in design.blocks]
     for a in sorted(holders):
         hs = holders[a]
@@ -175,8 +158,15 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
             ordered[hs[0]].appendleft(a)
             if len(hs) == 2:
                 ordered[hs[1]].append(a)
+            continue
+        b1, b2, b3 = (ordered[i] for i in hs)
+        first = set(b1)
+        if first.isdisjoint(b2) and first.isdisjoint(b3) and set(b2).isdisjoint(b3):
+            # the blocks share no point, so insert_point would put a first in each
+            b1.appendleft(a)
+            b2.appendleft(a)
+            b3.appendleft(a)
         else:
-            blocks = [ordered[i] for i in hs]
-            for block, slot in zip(blocks, _slots(a, *blocks)):
-                block.insert(slot, a)
+            for i, block in zip(hs, insert_point(a, tuple(b1), tuple(b2), tuple(b3))):
+                ordered[i] = deque(block)
     return DirectedPackingDesign(design.v, ordered)

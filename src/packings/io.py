@@ -63,11 +63,17 @@ def _require_int(data: dict, key: str, kind: str = "design") -> int:
     return value
 
 
-def _int_rows(data: dict, key: str, kind: str) -> list:
-    """``data[key]`` as a list of integer lists; the points are walked only to name a bad one."""
+def _rows(data: dict, key: str, kind: str) -> list:
+    """``data[key]`` as a list of lists; a design checks the types of its points itself."""
     rows = data[key]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise StructuralError(f"malformed {kind} file: {key!r} must be a list of integer lists")
+    return rows
+
+
+def _int_rows(data: dict, key: str, kind: str) -> list:
+    """``data[key]`` as a list of integer lists; the points are walked only to name a bad one."""
+    rows = _rows(data, key, kind)
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise StructuralError(f"malformed {kind} file: point {bad!r} is not an integer")
@@ -96,8 +102,9 @@ def design_from_dict(data: object) -> DesignDocument:
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise StructuralError("malformed design file: 'directed' must be a boolean")
-    # the design's constructor makes each block a tuple, so the lists go in as read
-    design = (DirectedPackingDesign if directed else PackingDesign)(v, _int_rows(data, "blocks", "design"))
+    # the design's constructor checks the points and makes each block a tuple,
+    # so the lists go in as read
+    design = (DirectedPackingDesign if directed else PackingDesign)(v, _rows(data, "blocks", "design"))
     for block in design.blocks if k is not None else ():
         if len(block) > k:
             raise StructuralError(f"malformed design file: block {block} larger than k={k}")

@@ -83,13 +83,17 @@ class TestTypes:
             PackingDesign(4, ((0, 1), (7, 1, 1), (9,)))
 
     @pytest.mark.parametrize("kind", [PackingDesign, DirectedPackingDesign])
-    @pytest.mark.parametrize("block,bad", [((0.5, 1, 2), "0.5"), ((True, 3, 4), "True")])
-    def test_points_must_be_integers(self, kind, block, bad):
-        # a float or a bool compares and hashes like an int, so only its type gives it away
+    @pytest.mark.parametrize("blocks,bad", [
+        (((0, 1), (0.5, 1, 2)), "0.5"),
+        (((0, 1), (True, 3, 4)), "True"),
+        ([(0.5, 1, 2), (True, 3, 4)], "0.5"),
+        ([(0, 1), (3, "1", 2)], "'1'"),
+    ])
+    def test_points_must_be_integers(self, kind, blocks, bad):
+        # a float or a bool compares and hashes like an int, so only its type gives it away;
+        # a str is named before sorting the block could compare it with an int
         with pytest.raises(StructuralError, match=rf"^point {bad} is not an integer$"):
-            kind(5, ((0, 1), block))
-        with pytest.raises(StructuralError, match=r"^point 0.5 is not an integer$"):
-            kind(5, [(0.5, 1, 2), (True, 3, 4)])
+            kind(5, blocks)
 
     @pytest.mark.parametrize("kind", [PackingDesign, DirectedPackingDesign])
     @pytest.mark.parametrize("v", [0, -3])

@@ -315,10 +315,15 @@ class TestAgreesWithReference:
             d = make_two_fold(rng, v_max=30)
             assert direct_packing(d) == reference_direct_packing(d)
 
-    @pytest.mark.parametrize("n,k", [(3, 100), (4, 120), (5, 160), (5, 240)])
-    def test_window_designs_with_large_blocks(self, n, k):
+    @pytest.mark.parametrize("n,k", [(3, 100), (4, 120), (5, 160), (5, 240), (5, 480)])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_window_designs_with_large_blocks(self, n, k, late):
         v = max(k, -(-(n * k - comb(n, 3)) // 2))
         design = general_construction(n, v, k, 2, 2)
+        if late:
+            # relabelled so that the points in three blocks come last, when the
+            # blocks are nearly full and each two of them share about k/(n - 1) points
+            design = PackingDesign(v, [[v - 1 - p for p in b] for b in design.blocks])
         assert direct_packing(design) == reference_direct_packing(design)
 
 
