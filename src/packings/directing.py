@@ -150,7 +150,8 @@ def direct_packing(design: PackingDesign) -> DirectedPackingDesign:
     hold them, starting from empty blocks.
     """
     holders = _check_directable(design)
-    # deques take a point at either end in O(1)
+    # deques take a point at either end in O(1); only a three-block step
+    # whose blocks share a point rebuilds its blocks
     ordered: list[deque[int]] = [deque() for _ in design.blocks]
     for a in sorted(holders):
         hs = holders[a]
