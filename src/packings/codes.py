@@ -18,6 +18,7 @@ from .core import (
     DesignParams,
     DirectedPackingDesign,
     PackingDesign,
+    _first_non_int,
     _lis_heights,
     require_valid,
 )
@@ -83,11 +84,12 @@ class ConstantWeightCode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
+        bad = _first_non_int(self.words)  # an entry equal to 0 or 1 need not be an int
         for w in self.words:
             if len(w) != self.length:
                 raise ValueError(f"word {w} does not have length {self.length}")
             ones = w.count(1)
-            if w.count(0) + ones != self.length:
+            if w.count(0) + ones != self.length or (bad and w is bad[0]):
                 raise ValueError(f"word {w} is not binary")
             if ones != self.weight:
                 raise ValueError(f"word {w} does not have weight {self.weight}")
@@ -112,9 +114,12 @@ class IndelCode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
+        bad = _first_non_int(self.words)
         for w in self.words:
             if len(w) != self.word_length:
                 raise ValueError(f"word {w} does not have length {self.word_length}")
+            if bad and w is bad[0]:
+                raise ValueError(f"word {w} has symbol {bad[1]!r}, which is not an integer")
             if w and not (0 <= min(w) and max(w) < self.alphabet_size):
                 raise ValueError(f"word {w} uses symbols outside the alphabet")
             if not self.allow_repeats and len(set(w)) != len(w):

@@ -35,6 +35,13 @@ def is_subsequence(needle: Sequence[int], haystack: Sequence[int]) -> bool:
     return all(x in it for x in needle)
 
 
+def _first_non_int(rows: Sequence[Sequence[object]]) -> tuple[Sequence[object], object] | None:
+    """The first row holding an entry that is not an int (nor a bool), and that entry, or None."""
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return None
+    return next((row, x) for row in rows for x in row if type(x) is not int)
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Problem parameters: v points, block size k, t-subsets covered at most lam times."""
@@ -70,11 +77,9 @@ class _Design:
         if self.v < 1:
             raise StructuralError(f"v must be positive, got {self.v}")
         rows = tuple(map(tuple, self.blocks))
-        # types first, so that sorting a block never compares a str with an int;
-        # bool is a subclass of int, not an int here
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
-            raise StructuralError(f"point {bad!r} is not an integer")
+        bad = _first_non_int(rows)  # first, so that sorting never compares a str with an int
+        if bad:
+            raise StructuralError(f"point {bad[1]!r} is not an integer")
         blocks = tuple(map(self._canon, rows))
         if any(blocks) and not (
             0 <= min(chain.from_iterable(blocks))
@@ -322,28 +327,15 @@ def require_valid(design: Design, params: DesignParams, *, uniform: bool = False
         )
 
 
-def _most_frequent(r: Counter, levels: Counter, t: int, v: int) -> list[int]:
+def _most_frequent(r: Counter, t: int, v: int) -> list[int]:
     """The t points of r by falling frequency, ties to the least point.
 
     This is ``sorted(r, key=lambda x: (-r[x], x))[:t]``, padded, when r holds
-    fewer than t points, with the least points of range(v) absent from it.
-    levels is Counter(r.values()).  The frequency levels are walked down to
-    the one that holds the t-th point; only the fewer than t points above it
-    are sorted, and the least points of that level are picked by value, so no
-    Python call is made per point.
+    fewer than t points, with the least points of range(v) absent from it,
+    from one heap selection over (-frequency, point) pairs.
     """
-    above = 0
-    for f in sorted(levels, reverse=True):
-        if above + levels[f] >= t:
-            break
-        above += levels[f]
-    else:
-        f = 0  # fewer than t points occur: the absent points, at frequency 0, pad
-    top = sorted(compress(r, map(f.__lt__, r.values())))
-    top.sort(key=r.__getitem__, reverse=True)  # stable, so ties stay ascending
-    if f == 0:
-        return top + list(islice((x for x in range(v) if x not in r), t - above))
-    return top + heapq.nsmallest(t - above, compress(r, map(f.__eq__, r.values())))
+    top = [x for _, x in heapq.nsmallest(t, zip(map(operator.neg, r.values()), r))]
+    return top + list(islice((x for x in range(v) if x not in r), t - len(top)))
 
 
 def structural_diagnostics(
@@ -360,14 +352,14 @@ def structural_diagnostics(
     v, k, t, lam = params.v, params.k, params.t, params.lam
     # only the points that occur are counted, so memory does not grow with v
     r = Counter(chain.from_iterable(design.blocks))
-    levels = Counter(r.values())
     n = len(design.blocks)
 
-    by_freq = _most_frequent(r, levels, t, v)
+    by_freq = _most_frequent(r, t, v)
     worst_x = by_freq[0]
     r_cap = lam * choose(v - 1, t - 1) // choose(k - 1, t - 1)
     freq_ok = r[worst_x] <= r_cap
 
+    levels = Counter(r.values())
     spread_lhs = sum(choose(i, lam + 1) * cnt for i, cnt in levels.items())
     spread_rhs = (t - 1) * choose(n, lam + 1)
 

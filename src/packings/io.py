@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Union
 
 from .codes import ConstantWeightCode, IndelCode
-from .core import Design, DesignParams, DirectedPackingDesign, PackingDesign, StructuralError
+from .core import (
+    Design, DesignParams, DirectedPackingDesign, PackingDesign, StructuralError, _first_non_int,
+)
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ def _rows(data: dict, key: str, kind: str) -> list:
 def _int_rows(data: dict, key: str, kind: str) -> list:
     """``data[key]`` as a list of integer lists; the points are walked only to name a bad one."""
     rows = _rows(data, key, kind)
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
-        raise StructuralError(f"malformed {kind} file: point {bad!r} is not an integer")
+    bad = _first_non_int(rows)
+    if bad:
+        raise StructuralError(f"malformed {kind} file: point {bad[1]!r} is not an integer")
     return rows
 
 

@@ -151,6 +151,9 @@ class TestConstantWeight:
             (((2, 0, 0),), "word (2, 0, 0) does not have length 4"),  # length is checked first
             (((2, 0, 0, 0),), "word (2, 0, 0, 0) is not binary"),  # though its sum is the weight
             (((1, 1, 0, 0.5),), "word (1, 1, 0, 0.5) is not binary"),
+            # entries equal to bits, but not ints
+            (((1.0, 1.0, 0.0, 0.0), (0, 0, 1, 1)), "word (1.0, 1.0, 0.0, 0.0) is not binary"),
+            (((0, 0, 1, 1), (True, 1, 0, 0)), "word (True, 1, 0, 0) is not binary"),
             (((1, 1, 1, 0),), "word (1, 1, 1, 0) does not have weight 2"),
             ([[0, 0, 1, 1], [0, 0, 1, 0]], "word (0, 0, 1, 0) does not have weight 2"),
             (((1, 1, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)), "word (1, 1, 1, 0) does not have weight 2"),
@@ -223,6 +226,11 @@ class TestIndelCode:
             (lambda: IndelCode(3, 2, ((0, 1), (0, 1, 2))), "word (0, 1, 2) does not have length 2"),
             (lambda: IndelCode(3, 2, ((0, 3),)), "word (0, 3) uses symbols outside the alphabet"),
             (lambda: IndelCode(3, 2, ((-1, 0),)), "word (-1, 0) uses symbols outside the alphabet"),
+            (lambda: IndelCode(3, 2, [(0.5, 1), (True, 2)]),
+             "word (0.5, 1) has symbol 0.5, which is not an integer"),
+            (lambda: IndelCode(3, 2, [(0, 1), (True, 2)]),
+             "word (True, 2) has symbol True, which is not an integer"),
+            (lambda: IndelCode(3, 2, [("a", 1)]), "word ('a', 1) has symbol 'a', which is not an integer"),
             (lambda: to_indel_code(DirectedPackingDesign(4, ((0, 1, 2),)), DesignParams(4, 3, 2, 2)),
              "the deletion-code equivalence requires lam = 1"),
             (lambda: max_pairwise_lcs(IndelCode(3, 2, ((0, 1),))),

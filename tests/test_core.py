@@ -412,7 +412,7 @@ class TestStructuralDiagnostics:
         assert checks["frequency-sum"]["points"] == (0, 1)
 
     def test_most_frequent_matches_the_sort(self):
-        # the level walk picks the points the frequency sort picks, in its order,
+        # the heap selection picks the points the frequency sort picks, in its order,
         # padded with the least absent points when too few occur
         def by_sort(r, t, v):
             picked = sorted(r, key=lambda x: (-r[x], x))[:t]
@@ -424,7 +424,7 @@ class TestStructuralDiagnostics:
             top = rng.choice((1, 2, 3, 10))
             r = Counter({x: rng.randint(1, top) for x in rng.sample(range(v), rng.randint(0, v))})
             t = rng.randint(1, v)
-            assert core._most_frequent(r, Counter(r.values()), t, v) == by_sort(r, t, v), (r, t, v)
+            assert core._most_frequent(r, t, v) == by_sort(r, t, v), (r, t, v)
 
     def test_memory_does_not_grow_with_v(self):
         v = 200_000

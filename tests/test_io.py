@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from packings import (
+    ConstantWeightCode,
     DesignParams,
     DirectedPackingDesign,
     IndelCode,
@@ -204,6 +205,22 @@ class TestCodeFiles:
         save_code(path, code)
         back = load_code(path)
         assert back.allow_repeats and back.words == code.words
+
+    def test_an_accepted_code_always_loads_back(self):
+        # a code refuses at once, with a ValueError, any word its file could not hold
+        rng = random.Random(11)
+        entries = (0, 1, 2, 0.0, 1.0, 0.5, True, False, "a")
+        accepted = 0
+        for _ in range(500):
+            words = [tuple(rng.choice(entries) for _ in range(2)) for _ in range(rng.randint(1, 3))]
+            for make, first, second in ((IndelCode, 3, 2), (ConstantWeightCode, 2, 1)):
+                try:
+                    code = make(first, second, words)
+                except ValueError:
+                    continue
+                accepted += 1
+                assert code_from_dict(json.loads(dumps_code(code))) == code, words
+        assert accepted
 
     def test_written_as_one_line(self, pack_6_3, directed_6_4):
         for code in (

@@ -2,6 +2,7 @@
 
 import ast
 import shlex
+import sys
 from inspect import ismodule
 from pathlib import Path
 
@@ -69,4 +70,21 @@ def test_every_module_level_import_is_used():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in used:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
+
+
+def test_the_package_imports_only_the_standard_library():
+    # stdlib-only at runtime: every absolute import names a standard-library module
+    found = []
+    for path in sorted(Path(packings.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, found
