@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
-from .core import DesignParams, choose
+from .core import DesignParams, _Value, choose
 
 JOHNSON_SCHONHEIM = "johnson-schonheim"
 HANANI = "hanani"
@@ -41,14 +39,17 @@ class NotApplicableError(ValueError):
     """A requested theorem or construction does not cover the given parameters."""
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     """A bound value plus the method and intermediate quantities that produced it."""
 
-    value: int | None
-    provenance: str
-    detail: dict = field(default_factory=dict)
-    exact: bool = False
+    _fields = ("value", "provenance", "detail", "exact")
+
+    def __init__(
+        self, value: int | None, provenance: str, detail: dict | None = None, exact: bool = False
+    ) -> None:
+        self.__dict__.update(
+            value=value, provenance=provenance, detail={} if detail is None else detail, exact=exact
+        )
 
 
 def _first_true(pred: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -129,8 +130,10 @@ def gen_second_johnson_feasible(d: int, params: DesignParams) -> bool:
         raise ValueError(f"block count must be nonnegative, got {d}")
     v, t, lam = params.v, params.t, params.lam
     q, r = divmod(d * params.k, v)
-    # d, q >= 0 and lam >= 1, where math.comb(a, b) is 0 for b > a, as C(a, b) is
-    return (t - 1) * math.comb(d, lam + 1) >= v * math.comb(q, lam + 1) + r * math.comb(q, lam)
+    # d, q >= 0 and lam >= 1, where math.comb(a, b) is 0 for b > a, as C(a, b) is;
+    # at t = 1 the left side is 0 without its binomial
+    left = (t - 1) * math.comb(d, lam + 1) if t > 1 else 0
+    return left >= v * math.comb(q, lam + 1) + r * math.comb(q, lam)
 
 
 def _passing_horizon(params: DesignParams, last: int) -> int:
@@ -215,7 +218,10 @@ def _convexity_walk(params: DesignParams, cap: int) -> BoundReport:
         q = start * k // v
         end = min(((q + 1) * v - 1) // k, stop)
         rising = k * math.comb(q, lam)
-        m = _first_true(lambda d: (t - 1) * math.comb(d, lam) >= rising, start, end)
+        # at t = 1 the left side is 0, so the difference rises only where rising is 0
+        m = _first_true(
+            lambda d: not rising or t > 1 and (t - 1) * math.comb(d, lam) >= rising, start, end
+        )
         if not gen_second_johnson_feasible(m, params):
             d = _first_true(lambda d: not gen_second_johnson_feasible(d, params), start, m)
             q, r = divmod(d * k, v)
@@ -274,6 +280,8 @@ def horsley_bound_2(v: int, k: int, lam: int = 1) -> BoundReport:
         # one block always exists, so a sub-case claiming less than one
         # (possible when r = lam) is degenerate rather than a bound
         values[name] = val if val >= 1 else None
+    from fractions import Fraction  # imported on first use, as only two reports hold one
+
     weights = {name: (Fraction(a, A), Fraction(b, B)) for name, (a, A, b, B) in cases.items()}
     detail = {"r": r, "d": d, "cases": values, "weights": weights}
     usable = [val for val in values.values() if val is not None]
@@ -316,6 +324,8 @@ def exact_by_theorems(params: DesignParams) -> BoundReport:
     lo = _window_edge(ell, k, t, lam)
     top = (lam + 1) * (ell + 1) * k - (t - 1) * choose(ell + 1, lam + 1)
     if lo <= lam * v and (lam + 2) * lam * v < top:
+        from fractions import Fraction
+
         hi = Fraction(top, lam + 2)
         return BoundReport(
             ell, EXACT_THRESHOLD, {"ell": ell, "window": (lo, hi)}, exact=True
@@ -351,7 +361,7 @@ def exact_dpdn_by_theorem(v: int, k: int) -> BoundReport:
     rep = exact_by_theorems(DesignParams(v, k, 2, 2))
     if rep.value is None or rep.provenance != EXACT_WINDOW:
         return BoundReport(None, EXACT_DIRECTED, {"reason": "outside the window"})
-    return replace(rep, provenance=EXACT_DIRECTED)
+    return BoundReport(rep.value, EXACT_DIRECTED, rep.detail, rep.exact)
 
 
 def bound_candidates(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 from itertools import chain, islice
 from pathlib import Path
 
@@ -68,6 +67,8 @@ def _text(value) -> str:
     except ValueError:
         if isinstance(value, dict):
             return "{" + ", ".join(f"{key!r}: {_text(x)}" for key, x in value.items()) + "}"
+        from decimal import Decimal  # imported on first use, as few outputs are that long
+
         return str(Decimal(value))
 
 

@@ -10,8 +10,7 @@ share no ordered t-subsequence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from itertools import chain, combinations, compress
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     DirectedPackingDesign,
     PackingDesign,
     _first_non_int,
+    _Value,
     _lis_heights,
     require_valid,
 )
@@ -74,31 +74,28 @@ def lcs_length(a, b) -> int:
     return _max_lcs((a, b))
 
 
-@dataclass(frozen=True)
-class ConstantWeightCode:
+class ConstantWeightCode(_Value):
     """Binary code whose words all share the same weight."""
 
-    length: int
-    weight: int
-    words: tuple[tuple[int, ...], ...]
+    _fields = ("length", "weight", "words")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
-        bad = _first_non_int(self.words)  # an entry equal to 0 or 1 need not be an int
-        for w in self.words:
-            if len(w) != self.length:
-                raise ValueError(f"word {w} does not have length {self.length}")
+    def __init__(self, length: int, weight: int, words: Iterable[Iterable[int]]) -> None:
+        words = tuple(tuple(w) for w in words)
+        bad = _first_non_int(words)  # an entry equal to 0 or 1 need not be an int
+        for w in words:
+            if len(w) != length:
+                raise ValueError(f"word {w} does not have length {length}")
             ones = w.count(1)
-            if w.count(0) + ones != self.length or (bad and w is bad[0]):
+            if w.count(0) + ones != length or (bad and w is bad[0]):
                 raise ValueError(f"word {w} is not binary")
-            if ones != self.weight:
-                raise ValueError(f"word {w} does not have weight {self.weight}")
-        if len(set(self.words)) != len(self.words):
+            if ones != weight:
+                raise ValueError(f"word {w} does not have weight {weight}")
+        if len(set(words)) != len(words):
             raise ValueError("code words must be distinct")
+        self.__dict__.update(length=length, weight=weight, words=words)
 
 
-@dataclass(frozen=True)
-class IndelCode:
+class IndelCode(_Value):
     """Fixed-length code over the alphabet {0, ..., alphabet_size-1}.
 
     Words are symbol sequences; repeats inside a word are forbidden unless
@@ -107,25 +104,37 @@ class IndelCode:
     ``deletion_channel_check`` decides how many deletions it survives.
     """
 
-    alphabet_size: int
-    word_length: int
-    words: tuple[tuple[int, ...], ...]
-    allow_repeats: bool = field(default=False, kw_only=True, compare=False)
+    _fields = ("alphabet_size", "word_length", "words", "allow_repeats")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
-        bad = _first_non_int(self.words)
-        for w in self.words:
-            if len(w) != self.word_length:
-                raise ValueError(f"word {w} does not have length {self.word_length}")
+    def __init__(
+        self,
+        alphabet_size: int,
+        word_length: int,
+        words: Iterable[Iterable[int]],
+        *,
+        allow_repeats: bool = False,
+    ) -> None:
+        words = tuple(tuple(w) for w in words)
+        bad = _first_non_int(words)
+        for w in words:
+            if len(w) != word_length:
+                raise ValueError(f"word {w} does not have length {word_length}")
             if bad and w is bad[0]:
                 raise ValueError(f"word {w} has symbol {bad[1]!r}, which is not an integer")
-            if w and not (0 <= min(w) and max(w) < self.alphabet_size):
+            if w and not (0 <= min(w) and max(w) < alphabet_size):
                 raise ValueError(f"word {w} uses symbols outside the alphabet")
-            if not self.allow_repeats and len(set(w)) != len(w):
+            if not allow_repeats and len(set(w)) != len(w):
                 raise ValueError(f"word {w} repeats a symbol")
-        if len(set(self.words)) != len(self.words):
+        if len(set(words)) != len(words):
             raise ValueError("code words must be distinct")
+        self.__dict__.update(
+            alphabet_size=alphabet_size, word_length=word_length, words=words,
+            allow_repeats=allow_repeats,
+        )
+
+    def _key(self) -> dict:
+        # the permission to repeat is no part of the code's value
+        return {name: self.__dict__[name] for name in self._fields[:3]}
 
 
 def to_constant_weight(design: PackingDesign, params: DesignParams) -> ConstantWeightCode:

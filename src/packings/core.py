@@ -13,7 +13,6 @@ import math
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, islice, repeat
 from typing import Iterable, Sequence, Union
 
@@ -42,73 +41,99 @@ def _first_non_int(rows: Sequence[Sequence[object]]) -> tuple[Sequence[object], 
     return next((row, x) for row in rows for x in row if type(x) is not int)
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields``, and its
+    ``__init__`` checks them and stores them once through ``self.__dict__``.
+    Assigning or deleting an attribute raises AttributeError.  Two values
+    are equal when they have the same class and equal ``_key()``s, by
+    default every field; the hash is that of the key's values, and the repr
+    is ``Name(field=value, ...)`` over every field.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> dict:
+        return self.__dict__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._key().values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class DesignParams(_Value):
     """Problem parameters: v points, block size k, t-subsets covered at most lam times."""
 
-    v: int
-    k: int
-    t: int
-    lam: int = 1
+    _fields = ("v", "k", "t", "lam")
 
-    def __post_init__(self) -> None:
-        if not self.v >= self.k >= self.t >= 1:
-            raise ValueError(
-                f"require v >= k >= t >= 1, got v={self.v} k={self.k} t={self.t}"
-            )
-        if self.lam < 1:
-            raise ValueError(f"require lam >= 1, got lam={self.lam}")
+    def __init__(self, v: int, k: int, t: int, lam: int = 1) -> None:
+        if not v >= k >= t >= 1:
+            raise ValueError(f"require v >= k >= t >= 1, got v={v} k={k} t={t}")
+        if lam < 1:
+            raise ValueError(f"require lam >= 1, got lam={lam}")
+        self.__dict__.update(v=v, k=k, t=t, lam=lam)
 
     def with_lam(self, lam: int) -> "DesignParams":
         return DesignParams(self.v, self.k, self.t, lam)
 
 
-@dataclass(frozen=True)
-class _Design:
+class _Design(_Value):
     """Blocks over the point set {0, ..., v-1}; ``_canon`` puts each block in canonical form.
 
     Sizes may vary, and empty or repeated blocks are legal input.
     """
 
-    v: int
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("v", "blocks")
 
-    def __post_init__(self) -> None:
-        if self.v < 1:
-            raise StructuralError(f"v must be positive, got {self.v}")
-        rows = tuple(map(tuple, self.blocks))
+    def __init__(self, v: int, blocks: Iterable[Iterable[int]]) -> None:
+        if v < 1:
+            raise StructuralError(f"v must be positive, got {v}")
+        rows = tuple(map(tuple, blocks))
         bad = _first_non_int(rows)  # first, so that sorting never compares a str with an int
         if bad:
             raise StructuralError(f"point {bad[1]!r} is not an integer")
         blocks = tuple(map(self._canon, rows))
         if any(blocks) and not (
             0 <= min(chain.from_iterable(blocks))
-            and max(chain.from_iterable(blocks)) < self.v
+            and max(chain.from_iterable(blocks)) < v
             and sum(map(len, map(set, blocks))) == sum(map(len, blocks))
         ):
             for b in blocks:  # walk the blocks only to name the first bad point
                 seen = set()
                 for x in b:
-                    if not 0 <= x < self.v:
-                        raise StructuralError(f"point {x} out of range for v={self.v}")
+                    if not 0 <= x < v:
+                        raise StructuralError(f"point {x} out of range for v={v}")
                     if x in seen:
                         raise StructuralError(f"duplicate point {x} in block {b}")
                     seen.add(x)
-        object.__setattr__(self, "blocks", blocks)
+        self.__dict__.update(v=v, blocks=blocks)
 
     @property
     def n(self) -> int:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
 class PackingDesign(_Design):
     """An unordered design: blocks over {0, ..., v-1}, canonicalized to sorted tuples."""
 
     _canon = staticmethod(lambda block: tuple(sorted(block)))
 
 
-@dataclass(frozen=True)
 class DirectedPackingDesign(_Design):
     """An ordered design: duplicate-free point sequences over {0, ..., v-1}."""
 
@@ -118,18 +143,26 @@ class DirectedPackingDesign(_Design):
 Design = Union[PackingDesign, DirectedPackingDesign]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """Outcome of a multiplicity check, with the worst offender as a witness.
 
     ``blocks`` lists, in increasing order, the indices of the blocks that
     hold ``worst_t_set``; there are ``worst_multiplicity`` of them.
     """
 
-    valid: bool
-    worst_t_set: tuple[int, ...] | None
-    worst_multiplicity: int
-    blocks: tuple[int, ...] = ()
+    _fields = ("valid", "worst_t_set", "worst_multiplicity", "blocks")
+
+    def __init__(
+        self,
+        valid: bool,
+        worst_t_set: tuple[int, ...] | None,
+        worst_multiplicity: int,
+        blocks: tuple[int, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            valid=valid, worst_t_set=worst_t_set, worst_multiplicity=worst_multiplicity,
+            blocks=blocks,
+        )
 
 
 def _lis_heights(seq: Iterable[int]) -> list[int]:

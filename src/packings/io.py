@@ -11,24 +11,23 @@ as one line of JSON and read in any layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 from .codes import ConstantWeightCode, IndelCode
 from .core import (
     Design, DesignParams, DirectedPackingDesign, PackingDesign, StructuralError, _first_non_int,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class DesignDocument:
+class DesignDocument(_Value):
     """A design plus the problem parameters stored alongside it."""
 
-    design: Design
-    k: int | None
-    t: int
-    lam: int
+    _fields = ("design", "k", "t", "lam")
+
+    def __init__(self, design: Design, k: int | None, t: int, lam: int) -> None:
+        self.__dict__.update(design=design, k=k, t=t, lam=lam)
 
     @property
     def directed(self) -> bool:

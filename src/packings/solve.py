@@ -27,8 +27,8 @@ grow as it goes, with their point masks, and cuts a prefix with all its
 extensions once its units meet that mask, or once fewer points can still
 follow it than it lacks.  The pool is the root (0, ..., k-1) plus a walk
 whose taboo, at lam = 1, is the root's units.  POOL_LIMIT and
-MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k) before anything
-is drawn.
+MASK_BITS_LIMIT still judge the full C(v, k) or P(v, k), and the lam unit
+planes, before anything is drawn.
 
 The search tree holds the index-nondecreasing block sequences that start
 at the root, children in candidate order; the search order is its
@@ -132,7 +132,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations, permutations
 from operator import or_
@@ -144,6 +143,7 @@ from .core import (
     DesignParams,
     DirectedPackingDesign,
     PackingDesign,
+    _Value,
     require_valid,
 )
 
@@ -152,21 +152,22 @@ BUDGET_EXHAUSTED = "budget-exhausted lower bound"
 # Largest candidate pool (all k-subsets, or all ordered k-tuples) a search
 # takes on, however few of them the root admits.
 POOL_LIMIT = 200_000
-# Largest mask table, full pool size times unit count, in bits.  The prefix
+# Largest mask table, full pool size times mask width, in bits.  The prefix
 # walk holds a stack of at most k prefixes, plus the drawn masks, so this
-# bounds it too.
+# bounds it too.  It also bounds the capacity cut's v point stars, each
+# lam planes of a mask's width.
 MASK_BITS_LIMIT = 100_000_000
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Value):
     """Knobs for the exact search; budgets must be positive when present."""
 
-    node_budget: int | None = None
+    _fields = ("node_budget",)
 
-    def __post_init__(self) -> None:
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
+    def __init__(self, node_budget: int | None = None) -> None:
+        if node_budget is not None and node_budget < 1:
+            raise ValueError(f"node_budget must be positive, got {node_budget}")
+        self.__dict__["node_budget"] = node_budget
 
 
 class SearchResult(NamedTuple):
@@ -419,7 +420,7 @@ def _capacity_cut(
     """
     per_block, per_point = math.comb(k, t), math.comb(k - 1, t - 1)
     width = v**t if directed else math.comb(v, t)
-    copies = sum(1 << j * width for j in range(lam))
+    copies = ((1 << lam * width) - 1) // ((1 << width) - 1)  # lam ones, width bits apart
     wide_stars = [star * copies for star in _stars(v, t, directed)]
 
     def cut(reach: int, planes: list[int], room: int) -> bool:
@@ -444,14 +445,22 @@ def _exact(
 ) -> SearchResult:
     """The shared search, capped by the classical bounds and, given a floor, by floor + 1."""
     v, k, t, lam = params.v, params.k, params.t, params.lam
-    # refuse a pool past POOL_LIMIT, or a mask table past MASK_BITS_LIMIT, before drawing it
+    # refuse a pool past POOL_LIMIT, or masks or planes past MASK_BITS_LIMIT, before drawing any
     what = "ordered blocks" if directed else "blocks"
-    (pool, pool_text), (n_units, units_text) = _count(v, k, directed), _count(v, t, directed)
+    pool, pool_text = _count(v, k, directed)
     if pool > POOL_LIMIT:
         raise ValueError(f"search pool of {pool_text} {what} exceeds the limit of {POOL_LIMIT:,}")
-    if pool * n_units > MASK_BITS_LIMIT:
-        raise ValueError(f"search pool of {pool_text} {what} over {units_text} units needs a "
-                         f"mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
+    # a mask spans the units as _walk numbers them: v**t bits for ordered t-tuples, which
+    # the pool's limit keeps small, and C(v, t) for t-sets
+    width, width_text = (v**t, f"{v**t:,}") if directed else _count(v, t, False)
+    if pool * width > MASK_BITS_LIMIT:
+        raise ValueError(f"search pool of {pool_text} {what} with masks of {width_text} bits "
+                         f"needs a mask table beyond the limit of {MASK_BITS_LIMIT:,} bits")
+    # the descent and the search hold lam planes of a mask's width, and the capacity cut
+    # holds v stars of lam planes each
+    if v * lam * width > MASK_BITS_LIMIT:
+        raise ValueError(f"search at lambda={lam:,} needs {v} point stars of {lam:,} planes of "
+                         f"{width_text} bits, beyond the limit of {MASK_BITS_LIMIT:,} bits")
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
     if floor is not None:
         cap = min(cap, floor + 1)
@@ -498,7 +507,8 @@ def pdn_exact(params: DesignParams, config: SearchConfig | None = None) -> Searc
     interruption downgrades it to a lower bound with witness.  Meant for
     desk-scale instances (around v <= 14 at t = 2); a pool of more than
     POOL_LIMIT k-subsets, or of more than MASK_BITS_LIMIT k-subset and t-set
-    pairs, raises ValueError before anything is allocated.
+    pairs, or v*lam*C(v, t) above it, raises ValueError before anything is
+    allocated.
     """
     return _exact(params, False, config)
 
@@ -510,8 +520,8 @@ def dpdn_exact(v: int, k: int, config: SearchConfig | None = None) -> SearchResu
     which checks v and k: ordered pairs are usable once, and the classical
     bounds of the unordered shadow at multiplicity two cap it.  The full
     pool has v!/(v-k)! tuples; above POOL_LIMIT (200,000, so v = 12 at
-    k = 6 is out), or with a mask table above MASK_BITS_LIMIT bits, it
-    raises ValueError before anything is allocated.
+    k = 6 is out), or with a mask table above MASK_BITS_LIMIT bits (pool
+    times v**2), it raises ValueError before anything is allocated.
     """
     return _exact(DesignParams(v, k, 2, 1), True, config)
 

@@ -322,6 +322,33 @@ class TestGenSecondJohnson:
         # start lies past the walk's stop (1937, 538 and 2 of 4563 cells)
         assert at_start > 1500 and past_nearer > 400 and past_both >= 2
 
+    def test_t_one_agrees_with_the_binomial_formula(self):
+        # at t = 1 the left side (t-1)*C(d, lam+1) is 0 and no longer computed; a scan
+        # with the formula that computes it gives the same reports, and so does the closed
+        # form: every d up to the Johnson-Schonheim value passes and the next one fails
+        def feasible(d, v, k, t, lam):
+            q, r = divmod(d * k, v)
+            right = v * math.comb(q, lam + 1) + r * math.comb(q, lam)
+            return (t - 1) * math.comb(d, lam + 1) >= right
+
+        cells = 0
+        for lam in (1, 2, 3, 7, 40):
+            for k in range(1, 14):
+                for v in range(k, 40, 3):
+                    params = DesignParams(v, k, 1, lam)
+                    first = next(d for d in range(lam * v + 2) if not feasible(d, v, k, 1, lam))
+                    assert [gen_second_johnson_feasible(d, params) for d in range(first + 2)] == [
+                        feasible(d, v, k, 1, lam) for d in range(first + 2)
+                    ], params
+                    q, r = divmod(first * k, v)
+                    want = {"first_infeasible": first, "q": q, "r": r}
+                    assert gen_second_johnson_bound(params) == BoundReport(
+                        first - 1, GEN_SECOND_JOHNSON, want
+                    ), params
+                    assert first - 1 == johnson_schonheim(params).value
+                    cells += 1
+        assert cells > 400
+
     def test_reduces_to_quadratic_form_at_lam_one(self):
         # pointwise agreement of the two feasibility tests for every d <= 12
         for t in (2, 3):

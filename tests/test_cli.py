@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from packings import (
     save_design,
 )
 from packings.bounds import VIA_UNDIRECTED, bound_candidates, least_bound
-from packings import cli
+from packings import cli, solve
 from packings.cli import main
 from packings.io import dumps_design, load_design
 from packings.io import DesignDocument
@@ -207,6 +208,23 @@ class TestBounds:
         assert "generalized-second-johnson\t\tn/a" in out.splitlines()
         assert out.splitlines()[-1] == "best\t40408\tjohnson-schonheim"
 
+    @pytest.mark.parametrize("directed", [(), ("--directed",)])
+    def test_t_one_at_huge_lambda_completes(self, capsys, directed):
+        # the convexity test at t = 1 computes no C(d, lam + 1): this cell once took 45 s
+        argv = ("bounds", "--v", "232", "--k", "60", "--t", "1", "--lambda", "1000000", "--tsv")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *directed)
+        assert time.perf_counter() - start < 5
+        prefix = "via-undirected(" if directed else ""
+        suffix = ")" if directed else ""
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "provenance\tvalue\tkind",
+            f"{prefix}johnson-schonheim{suffix}\t3866666\tupper",
+            f"{prefix}generalized-second-johnson{suffix}\t3866666\tupper",
+            f"best\t3866666\t{'via-undirected' if directed else 'johnson-schonheim'}",
+        ]
+
     def test_values_past_4300_digits_print_exactly(self, capsys):
         # str() of an int refuses past 4,300 digits; the cap here has 8,293
         js = johnson_schonheim(DesignParams(60000, 30000, 20000, 1)).value
@@ -370,6 +388,29 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--v", "20", "--k", "10", "--t", "5")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "beyond the limit of 100,000,000" in err
+
+    @pytest.mark.parametrize("budget", [(), ("--budget", "2000")])
+    def test_huge_lambda_is_refused_before_its_planes(self, capsys, budget):
+        # 10^12 planes of C(6, 2) = 15 bits: once a hang summing them, or a MemoryError
+        argv = ("solve", "--v", "6", "--k", "3", "--lambda", "1000000000000")
+        code, out, err = run(capsys, *argv, *budget)
+        assert (code, out) == (1, "")
+        assert err == ("error: search at lambda=1,000,000,000,000 needs 6 point stars of "
+                       "1,000,000,000,000 planes of 15 bits, "
+                       "beyond the limit of 100,000,000 bits\n")
+
+    def test_directed_masks_are_counted_at_v_to_the_t_bits(self, capsys, monkeypatch):
+        # 32,760 ordered blocks times P(15, 3) = 2,730 units passes the limit, but the masks
+        # span 15**3 = 3,375 bits each
+        def refuse(*args):
+            raise AssertionError("drawn past the limit")
+
+        monkeypatch.setattr(solve, "_walk", refuse)
+        monkeypatch.setattr(solve, "best_upper_bound", refuse)
+        code, out, err = run(capsys, "solve", "--v", "15", "--k", "4", "--t", "3", "--directed")
+        assert (code, out) == (1, "")
+        assert err == ("error: search pool of 32,760 ordered blocks with masks of 3,375 bits "
+                       "needs a mask table beyond the limit of 100,000,000 bits\n")
 
     def test_huge_pool_is_refused_in_one_line(self, capsys):
         for v, k in (("18446744073709551616", "9223372036854775808"), ("100000", "50000")):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,10 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from packings import (
+    BoundReport,
+    ConstantWeightCode,
+    DesignDocument,
     DesignParams,
     DirectedPackingDesign,
+    IndelCode,
     PackingDesign,
+    SearchConfig,
     StructuralError,
+    ValidationReport,
     is_subsequence,
     structural_diagnostics,
     underlying_design,
@@ -118,9 +123,9 @@ class TestTypes:
 
     def test_designs_are_frozen(self):
         for design in (PackingDesign(4, ((0, 1),)), DirectedPackingDesign(4, ((1, 0),))):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="'v'"):
                 design.v = 5
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="'blocks'"):
                 design.blocks = ()
 
     def test_one_validator_under_two_names(self):
@@ -478,3 +483,80 @@ class TestMonotonicity:
     def test_directed_truncation(self, directed_6_4):
         cut = DirectedPackingDesign(6, tuple(b[:3] for b in directed_6_4.blocks))
         assert validate_directed(cut, DesignParams(6, 3, 2, 1)).valid
+
+
+# each value type, built twice from equal arguments, with the repr a frozen dataclass gave it
+VALUES = [
+    (lambda: DesignParams(6, 3, 2), "DesignParams(v=6, k=3, t=2, lam=1)"),
+    (lambda: PackingDesign(4, [[1, 0], [2, 3]]), "PackingDesign(v=4, blocks=((0, 1), (2, 3)))"),
+    (lambda: DirectedPackingDesign(4, [[1, 0]]), "DirectedPackingDesign(v=4, blocks=((1, 0),))"),
+    (lambda: ValidationReport(True, (0, 1), 1, (0,)),
+     "ValidationReport(valid=True, worst_t_set=(0, 1), worst_multiplicity=1, blocks=(0,))"),
+    (lambda: BoundReport(4, "johnson-schonheim", {"v": 6}),
+     "BoundReport(value=4, provenance='johnson-schonheim', detail={'v': 6}, exact=False)"),
+    (lambda: ConstantWeightCode(3, 1, [[1, 0, 0], [0, 1, 0]]),
+     "ConstantWeightCode(length=3, weight=1, words=((1, 0, 0), (0, 1, 0)))"),
+    (lambda: IndelCode(3, 2, [[0, 1], [2, 0]], allow_repeats=True),
+     "IndelCode(alphabet_size=3, word_length=2, words=((0, 1), (2, 0)), allow_repeats=True)"),
+    (lambda: DesignDocument(PackingDesign(3, [[0, 1]]), 2, 2, 1),
+     "DesignDocument(design=PackingDesign(v=3, blocks=((0, 1),)), k=2, t=2, lam=1)"),
+    (lambda: SearchConfig(5), "SearchConfig(node_budget=5)"),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("make,shown", VALUES)
+    def test_repr_is_the_dataclass_repr(self, make, shown):
+        assert repr(make()) == shown
+
+    @pytest.mark.parametrize("make,shown", VALUES)
+    def test_fields_can_be_neither_assigned_nor_deleted(self, make, shown):
+        value = make()
+        for name in value._fields:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+            assert getattr(value, name) is before
+        with pytest.raises(AttributeError, match="'extra'"):
+            value.extra = 1
+
+    @pytest.mark.parametrize("make,shown", VALUES)
+    def test_equal_values_hash_equal(self, make, shown):
+        a, b = make(), make()
+        assert a == b and not a != b and a is not b
+        if isinstance(a, BoundReport):  # its detail is a dict, as a dataclass's hash found too
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+        assert a != shown and a != object()
+
+    def test_a_field_that_differs_makes_values_unequal(self):
+        assert DesignParams(6, 3, 2) != DesignParams(6, 3, 2, 2)
+        assert BoundReport(4, "x") != BoundReport(4, "x", exact=True)
+        assert SearchConfig() != SearchConfig(1)
+
+    def test_indel_code_equality_ignores_allow_repeats(self):
+        plain = IndelCode(3, 2, [[0, 1]])
+        allowed = IndelCode(3, 2, [[0, 1]], allow_repeats=True)
+        assert plain == allowed and hash(plain) == hash(allowed)
+        assert plain.allow_repeats is False and allowed.allow_repeats is True
+        assert plain != IndelCode(3, 2, [[1, 0]])
+
+    def test_a_bound_report_without_detail_gets_a_fresh_dict(self):
+        a, b = BoundReport(1, "x"), BoundReport(1, "x")
+        assert a.detail == {} and a.detail is not b.detail
+        a.detail["k"] = 1  # a report's detail is its own, as with a dataclass default_factory
+        assert b.detail == {}
+
+    def test_checks_keep_their_order_and_messages(self):
+        with pytest.raises(ValueError, match=r"^require v >= k >= t >= 1, got v=2 k=3 t=2$"):
+            DesignParams(2, 3, 2, 0)
+        with pytest.raises(ValueError, match=r"^require lam >= 1, got lam=0$"):
+            DesignParams(3, 3, 2, 0)
+        with pytest.raises(ValueError, match=r"^node_budget must be positive, got 0$"):
+            SearchConfig(0)
+        with pytest.raises(TypeError):
+            IndelCode(3, 2, [[0, 1]], True)  # allow_repeats stays keyword-only

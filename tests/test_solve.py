@@ -363,6 +363,33 @@ class TestSearchEngine:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize("lam,refused", [(1_111_111, False), (1_111_112, True)])
+    def test_lambda_planes_are_counted_before_anything_is_drawn(self, monkeypatch, lam, refused):
+        # 6 stars of lam planes of C(6, 2) = 15 bits: 99,999,990 bits pass, 100,000,080 do not
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(solve, "best_upper_bound", reached)
+        monkeypatch.setattr(solve, "_walk", reached)
+        with pytest.raises(ValueError if refused else Reached) as info:
+            pdn_exact(DesignParams(6, 3, 2, lam))
+        if refused:
+            assert str(info.value).endswith(f"beyond the limit of {MASK_BITS_LIMIT:,} bits")
+
+    def test_directed_masks_span_v_to_the_t_bits(self):
+        # (15, 4, 3): 32,760 ordered blocks over P(15, 3) = 2,730 units, masks of 3,375 bits
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="masks of 3,375 bits"):
+                solve._exact(DesignParams(15, 4, 3, 1), True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_no_counting_prune_cuts_below_the_cap(self):
         # no reach prune on the chosen blocks alone can cut, because the cap
         # never exceeds the point count v*r_cap//k or the unit count

@@ -2,6 +2,7 @@
 
 import ast
 import shlex
+import subprocess
 import sys
 from inspect import ismodule
 from pathlib import Path
@@ -88,3 +89,16 @@ def test_the_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, found
+
+
+def test_importing_the_cli_loads_no_heavy_standard_modules():
+    # value types are plain classes, and Fraction and Decimal are imported where they are built,
+    # so a fresh process loads none of these; no timing is asserted
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    src = str(Path(packings.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import packings.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "packings.cli" in loaded
+    assert loaded.isdisjoint(heavy), sorted(loaded.intersection(heavy))
