@@ -82,7 +82,11 @@ def hanani_b(v: int, k: int, lam: int = 1) -> BoundReport:
     """
     if not v >= k >= 2:
         raise ValueError(f"require v >= k >= 2, got v={v} k={k}")
-    base = johnson_schonheim(DesignParams(v, k, 2, lam)).value
+    return _hanani(v, k, lam, johnson_schonheim(DesignParams(v, k, 2, lam)).value)
+
+
+def _hanani(v: int, k: int, lam: int, base: int) -> BoundReport:
+    """``hanani_b`` given its nested-floor value ``base``, which ``bound_candidates`` holds."""
     cong_r = lam * (v - 1) % (k - 1) == 0
     cong_b = lam * v * (v - 1) % k == (-1) % k
     improved = cong_r and cong_b
@@ -358,7 +362,11 @@ def exact_dpdn_by_theorem(v: int, k: int) -> BoundReport:
     window of ``exact_by_theorems`` at (t, lam) = (2, 2); the directed value
     then coincides with the unordered packing number at multiplicity two.
     """
-    rep = exact_by_theorems(DesignParams(v, k, 2, 2))
+    return _as_directed_window(exact_by_theorems(DesignParams(v, k, 2, 2)))
+
+
+def _as_directed_window(rep: BoundReport) -> BoundReport:
+    """The directed window read off ``exact_by_theorems`` at (t, lam) = (2, 2)."""
     if rep.value is None or rep.provenance != EXACT_WINDOW:
         return BoundReport(None, EXACT_DIRECTED, {"reason": "outside the window"})
     return BoundReport(rep.value, EXACT_DIRECTED, rep.detail, rep.exact)
@@ -376,18 +384,20 @@ def bound_candidates(
     """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     if directed:
+        shadow = params.with_lam(math.factorial(t) * lam)
+        reports = bound_candidates(shadow, include_exact=include_exact)
         out = []
         if include_exact and (t, lam) == (2, 1):
-            out.append(exact_dpdn_by_theorem(v, k))
-        shadow = params.with_lam(math.factorial(t) * lam)
-        for rep in bound_candidates(shadow, include_exact=include_exact):
+            # the shadow's last report is exact_by_theorems at (2, 2), the directed window
+            out.append(_as_directed_window(reports[-1]))
+        for rep in reports:
             detail = {"underlying": rep.provenance, "shadow_lam": shadow.lam, "detail": rep.detail}
             out.append(BoundReport(rep.value, VIA_UNDIRECTED, detail))
         return out
     js = johnson_schonheim(params)
     out = [js]
     if t == 2:
-        out.append(hanani_b(v, k, lam))
+        out.append(_hanani(v, k, lam, js.value))
     convexity = _convexity_walk(params, js.value)
     out.append(convexity)
     if lam == 1 and t >= 2:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain, islice
-from pathlib import Path
 
 from . import bounds as bd
 from .bounds import NotApplicableError
@@ -18,7 +17,7 @@ from .codes import deletion_channel_check, to_constant_weight, to_indel_code
 from .construct import construct_optimal
 from .core import DesignParams, structural_diagnostics, validate_packing
 from .directing import direct_packing
-from .io import DesignDocument, dumps_code, dumps_design, load_design
+from .io import DesignDocument, dumps_code, dumps_design, load_design, write_file
 from .solve import OPTIMAL, SearchConfig, _exact
 
 EXIT_OK = 0
@@ -54,7 +53,7 @@ def _params(args) -> DesignParams:
 def _emit(args, text: str, summary: str) -> None:
     """Write ``text`` to the ``-o`` file and print the summary, or write it to stdout."""
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        write_file(args.output, text)
         print(f"{summary} -> {args.output}")
     else:
         sys.stdout.write(text)

@@ -26,6 +26,7 @@ from packings.bounds import (
     EXACT_WINDOW,
     GEN_SECOND_JOHNSON,
     JOHNSON_SCHONHEIM,
+    VIA_UNDIRECTED,
     _bernoulli_horizon,
     _first_true,
     _least_ell,
@@ -583,6 +584,35 @@ class TestBestUpperBound:
             calls.clear()
             bound_candidates(params, directed=True)
             assert calls == [params.with_lam(math.factorial(params.t) * params.lam)]
+
+    def test_candidates_at_t_two_compute_each_report_once(self, monkeypatch):
+        # Hanani's row takes the list's nested floor, and the directed window at
+        # (t, lam) = (2, 1) is read off the shadow's own exact_by_theorems row
+        calls = []
+
+        def counting(fn):
+            def counted(params):
+                calls.append((fn.__name__, params))
+                return fn(params)
+
+            return counted
+
+        monkeypatch.setattr(bounds, "johnson_schonheim", counting(johnson_schonheim))
+        monkeypatch.setattr(bounds, "exact_by_theorems", counting(exact_by_theorems))
+        for cell in ((12, 7, 2, 1), (20, 5, 2, 1), (14, 5, 2, 3)):
+            params = DesignParams(*cell)
+            calls.clear()
+            bound_candidates(params)
+            assert calls == [("johnson_schonheim", params), ("exact_by_theorems", params)]
+            calls.clear()
+            reps = bound_candidates(params, directed=True)
+            shadow = params.with_lam(2 * params.lam)
+            assert calls == [("johnson_schonheim", shadow), ("exact_by_theorems", shadow)]
+            if params.lam == 1:
+                assert reps[0] == exact_dpdn_by_theorem(params.v, params.k)
+            assert [rep.value for rep in reps if rep.provenance == VIA_UNDIRECTED][1] == (
+                hanani_b(params.v, params.k, shadow.lam).value
+            )
 
     def test_six_points_agreement(self):
         assert best_upper_bound(DesignParams(6, 3, 2, 1)).value == 4

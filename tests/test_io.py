@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from itertools import combinations
 
@@ -28,7 +29,9 @@ from packings.io import (
     dumps_code,
     dumps_design,
     loads_design,
+    write_file,
 )
+from packings.cli import main
 
 
 class TestDesignFiles:
@@ -260,3 +263,77 @@ class TestCodeFiles:
         ):
             with pytest.raises(StructuralError, match="malformed code file"):
                 code_from_dict(data)
+
+
+class TestWriteInPlace:
+    """Every file is written by ``write_file``: in place, then cut to the length written."""
+
+    STALE = "x" * 100_000 + "\n"  # longer than every text written below
+
+    @staticmethod
+    def cli_text(capsys, argv):
+        """What the command prints without ``-o``: the text that ``-o`` must write."""
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "writer", ["construct -o", "direct -o", "export-code -o", "save_design", "save_code"]
+    )
+    def test_a_longer_file_is_cut_to_the_new_text(
+        self, writer, tmp_path, capsys, twofold_12_7, directed_12_7
+    ):
+        source, ordered = tmp_path / "twofold.json", tmp_path / "directed.json"
+        save_design(source, twofold_12_7, k=7, t=2, lam=2)
+        save_design(ordered, directed_12_7, k=7)
+        code = to_indel_code(directed_12_7, DesignParams(12, 7, 2, 1))
+        argv = {
+            "construct -o": ["construct", "--v", "8", "--k", "4"],
+            "direct -o": ["direct", "-i", str(source)],
+            "export-code -o": ["export-code", "-i", str(ordered), "--format", "indel"],
+        }.get(writer)
+        target = tmp_path / "out.json"
+        target.write_text(self.STALE)
+        if argv is not None:
+            text = self.cli_text(capsys, argv)
+            assert main([*argv, "-o", str(target)]) == 0
+        elif writer == "save_design":
+            text = dumps_design(DesignDocument(twofold_12_7, 7, 2, 2))
+            save_design(target, twofold_12_7, k=7, t=2, lam=2)
+        else:
+            text = dumps_code(code)
+            save_code(target, code)
+        assert target.read_text(encoding="utf-8") == text
+        if writer in ("export-code -o", "save_code"):
+            assert load_code(target) == code_from_dict(json.loads(text))
+        else:
+            assert load_design(target) == loads_design(text)
+
+    def test_dev_null_is_written_without_error(self, capsys):
+        assert main(["construct", "--v", "8", "--k", "4", "-o", os.devnull]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {os.devnull}\n")
+
+    def test_a_new_file_gets_the_mode_that_open_gives(self, tmp_path, capsys):
+        old = os.umask(0o027)
+        try:
+            assert main(["construct", "--v", "8", "--k", "4", "-o", str(tmp_path / "a.json")]) == 0
+            write_file(tmp_path / "b.json", "{}\n")
+            with open(tmp_path / "c.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        for name in ("a.json", "b.json", "c.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640, name
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text(self.STALE)
+        link.symlink_to(target)
+        write_file(link, "{}\n")
+        assert link.is_symlink() and target.read_text() == "{}\n"
+
+    def test_a_directory_is_refused_in_one_line(self, tmp_path, capsys):
+        assert main(["construct", "--v", "8", "--k", "4", "-o", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "Is a directory" in lines[0]
