@@ -42,8 +42,6 @@ class NotApplicableError(ValueError):
 class BoundReport(_Value):
     """A bound value plus the method and intermediate quantities that produced it."""
 
-    _fields = ("value", "provenance", "detail", "exact")
-
     def __init__(
         self, value: int | None, provenance: str, detail: dict | None = None, exact: bool = False
     ) -> None:

@@ -8,6 +8,8 @@ Exit codes: 0 success, 1 invalid input, 2 theorem or bound not applicable,
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from itertools import chain, islice
 
@@ -50,9 +52,19 @@ def _params(args) -> DesignParams:
     return DesignParams(args.v, args.k, args.t, args.lam)
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` is the regular file stdout writes to (``-o /dev/stdout > f``),
+    which a second open would write from offset 0, under the summary printed after."""
+    try:  # no such path, or a stdout without a descriptor
+        out = os.fstat(sys.stdout.fileno())
+        return stat.S_ISREG(out.st_mode) and os.path.samestat(os.stat(path), out)
+    except (OSError, ValueError):
+        return False
+
+
 def _emit(args, text: str, summary: str) -> None:
     """Write ``text`` to the ``-o`` file and print the summary, or write it to stdout."""
-    if args.output:
+    if args.output and not _is_stdout(args.output):
         write_file(args.output, text)
         print(f"{summary} -> {args.output}")
     else:

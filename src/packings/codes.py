@@ -77,8 +77,6 @@ def lcs_length(a, b) -> int:
 class ConstantWeightCode(_Value):
     """Binary code whose words all share the same weight."""
 
-    _fields = ("length", "weight", "words")
-
     def __init__(self, length: int, weight: int, words: Iterable[Iterable[int]]) -> None:
         words = tuple(tuple(w) for w in words)
         bad = _first_non_int(words)  # an entry equal to 0 or 1 need not be an int
@@ -103,8 +101,6 @@ class IndelCode(_Value):
     constant words are appended).  The code carries no deletion capability:
     ``deletion_channel_check`` decides how many deletions it survives.
     """
-
-    _fields = ("alphabet_size", "word_length", "words", "allow_repeats")
 
     def __init__(
         self,

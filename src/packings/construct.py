@@ -18,10 +18,15 @@ from .core import DesignParams, PackingDesign, choose
 CONSTRUCT_POINTS_LIMIT = 100_000_000
 
 
+def _deal(n: int, v: int, k: int) -> list[list[int]]:
+    """n blocks of k points; block i holds (ik + j) mod v for j < k."""
+    return [[(i * k + j) % v for j in range(k)] for i in range(n)]
+
+
 def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
     """n blocks of size k on v points, every frequency in {floor(nk/v), ceil(nk/v)}.
 
-    Block i holds the points (ik + j) mod v for j < k, so the blocks deal
+    The blocks are ``_deal(n, v, k)``, each sorted by the design: they deal
     out 0, 1, ..., nk-1 modulo v in turn.  Point x gets one block for each
     number below nk that is congruent to x mod v, and there are floor(nk/v)
     or ceil(nk/v) of those; no block repeats a point since k <= v.  The
@@ -29,8 +34,7 @@ def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
     """
     if not (v >= k >= t >= 1 and n >= 0):
         raise ValueError(f"require v >= k >= t >= 1 and n >= 0, got n={n} v={v} k={k} t={t}")
-    # the design's constructor sorts each block into a tuple
-    return PackingDesign(v, [[(i * k + j) % v for j in range(k)] for i in range(n)])
+    return PackingDesign(v, _deal(n, v, k))
 
 
 def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDesign:
@@ -38,10 +42,10 @@ def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDes
 
     Each (lam+1)-subset S of the block indices, in lexicographic order, gets
     t-1 shared points that lie in exactly the blocks of S: the u-th subset
-    holds points u*(t-1), ..., u*(t-1) + t-2.  The remaining points carry a
-    balanced inner packing, so block i ends with the i-th inner block shifted
-    past the shared points; every block comes out sorted.  Requires
-    k >= (t-1)*C(n-1, lam) and lam*v >= n*k - (t-1)*C(n, lam+1); violations
+    holds points u*(t-1), ..., u*(t-1) + t-2.  The remaining points carry
+    blocks dealt as by ``balanced_packing``: block i ends with the i-th one
+    shifted past the shared points, and the one design built sorts each block.
+    Requires k >= (t-1)*C(n-1, lam) and lam*v >= n*k - (t-1)*C(n, lam+1); violations
     raise with the failed inequality spelled out.  A design with more than
     CONSTRUCT_POINTS_LIMIT block entries or points is refused before anything
     is built.
@@ -77,16 +81,13 @@ def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDes
 
     inner_k = k - need_k
     if inner_k:
-        # the hypotheses force n*inner_k <= lam*(v - shared), so the balanced
-        # inner packing stays within multiplicity lam; only its frequency
-        # property matters here, so the tuple size is immaterial (blocks may
-        # be smaller than t)
-        inner = balanced_packing(n, v - shared, inner_k, 1)
+        # the hypotheses force n*inner_k <= lam*(v - shared), so the dealt inner
+        # blocks put every inner point in at most lam blocks
         if -(-n * inner_k // (v - shared)) > lam:
             raise RuntimeError(
                 f"inner packing exceeds multiplicity {lam} at n={n} v={v} k={k} t={t}"
             )
-        for block, extra in zip(blocks, inner.blocks):
+        for block, extra in zip(blocks, _deal(n, v - shared, inner_k)):
             block.extend(x + shared for x in extra)
     return PackingDesign(v, blocks)
 

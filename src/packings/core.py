@@ -44,15 +44,17 @@ def _first_non_int(rows: Sequence[Sequence[object]]) -> tuple[Sequence[object], 
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass names its fields, in order, in ``_fields``, and its
-    ``__init__`` checks them and stores them once through ``self.__dict__``.
+    A subclass's ``__init__`` checks its fields and stores them once, in
+    order, through ``self.__dict__``; ``_fields`` names them in that order.
     Assigning or deleting an attribute raises AttributeError.  Two values
     are equal when they have the same class and equal ``_key()``s, by
     default every field; the hash is that of the key's values, and the repr
     is ``Name(field=value, ...)`` over every field.
     """
 
-    _fields: tuple[str, ...] = ()
+    @property
+    def _fields(self) -> tuple[str, ...]:
+        return tuple(self.__dict__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,14 +74,12 @@ class _Value:
         return hash(tuple(self._key().values()))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
         return f"{self.__class__.__qualname__}({shown})"
 
 
 class DesignParams(_Value):
     """Problem parameters: v points, block size k, t-subsets covered at most lam times."""
-
-    _fields = ("v", "k", "t", "lam")
 
     def __init__(self, v: int, k: int, t: int, lam: int = 1) -> None:
         if not v >= k >= t >= 1:
@@ -97,8 +97,6 @@ class _Design(_Value):
 
     Sizes may vary, and empty or repeated blocks are legal input.
     """
-
-    _fields = ("v", "blocks")
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]) -> None:
         if v < 1:
@@ -149,8 +147,6 @@ class ValidationReport(_Value):
     ``blocks`` lists, in increasing order, the indices of the blocks that
     hold ``worst_t_set``; there are ``worst_multiplicity`` of them.
     """
-
-    _fields = ("valid", "worst_t_set", "worst_multiplicity", "blocks")
 
     def __init__(
         self,

@@ -35,8 +35,6 @@ from .core import (
 class DesignDocument(_Value):
     """A design plus the problem parameters stored alongside it."""
 
-    _fields = ("design", "k", "t", "lam")
-
     def __init__(self, design: Design, k: int | None, t: int, lam: int) -> None:
         self.__dict__.update(design=design, k=k, t=t, lam=lam)
 

@@ -162,8 +162,6 @@ MASK_BITS_LIMIT = 100_000_000
 class SearchConfig(_Value):
     """Knobs for the exact search; budgets must be positive when present."""
 
-    _fields = ("node_budget",)
-
     def __init__(self, node_budget: int | None = None) -> None:
         if node_budget is not None and node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {node_budget}")

@@ -4,10 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import packings
 from packings import (
@@ -589,3 +592,162 @@ class TestTable:
         for line, (v, k) in zip(lines[1:], cells):
             best = best_upper_bound(DesignParams(v, k, 1, 2))
             assert line.split("\t") == [str(v), str(k), str(best.value), "upper", best.provenance]
+
+
+class TestOutputIsStdout:
+    """``-o`` naming the file that stdout is redirected to writes the document once."""
+
+    @staticmethod
+    def argv(command, tmp_path, twofold_12_7, directed_12_7):
+        if command == "construct":
+            return ["construct", "--v", "8", "--k", "4"]
+        source = tmp_path / "source.json"
+        if command == "direct":
+            save_design(source, twofold_12_7, k=7, t=2, lam=2)
+            return ["direct", "-i", str(source)]
+        save_design(source, directed_12_7, k=7)
+        return ["export-code", "-i", str(source), "--format", "indel"]
+
+    @staticmethod
+    def run_into(stdout, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(packings.__file__).parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "packings", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+
+    @pytest.mark.parametrize("command", ["construct", "direct", "export-code"])
+    def test_a_redirected_stdout_gets_the_document_alone(
+        self, command, capsys, tmp_path, twofold_12_7, directed_12_7
+    ):
+        argv = self.argv(command, tmp_path, twofold_12_7, directed_12_7)
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        target = tmp_path / "f.json"
+        with open(target, "w") as out:
+            proc = self.run_into(out, *argv, "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert target.read_text(encoding="utf-8") == text
+        if command == "construct":
+            assert main(["verify", "-i", str(target)]) == 0
+
+    def test_an_appended_stdout_gets_the_document_after_its_text(self, capsys, tmp_path):
+        text = run(capsys, "construct", "--v", "8", "--k", "4")[1]
+        target = tmp_path / "f.json"
+        target.write_text("before\n")
+        with open(target, "a") as out:
+            proc = self.run_into(out, "construct", "--v", "8", "--k", "4", "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert target.read_text(encoding="utf-8") == "before\n" + text
+
+    def test_a_pipe_gets_the_document_then_the_summary(self, capsys):
+        text = run(capsys, "construct", "--v", "8", "--k", "4")[1]
+        argv = ["construct", "--v", "8", "--k", "4", "-o", "/dev/stdout"]
+        proc = self.run_into(subprocess.PIPE, *argv)
+        assert proc.returncode == 0
+        assert proc.stdout == text + "constructed 2 blocks via exact-window -> /dev/stdout\n"
+
+
+_COMMANDS = sorted(cli._PARSER.commands)
+
+
+@st.composite
+def _argvs(draw, inputs, outputs):
+    """An argv for one of the seven commands, or for an unknown command or none.
+
+    Numbers are ints with v, k <= 30 and t, lambda <= 4; one in twenty is junk,
+    such as "x" or 0.  One option in twenty is dropped, and one argv in ten
+    gains an unknown option.  A solve always gets a node budget of at most 300,
+    and three in four of at most 20, as a node can take milliseconds at v = 30.
+    """
+
+    def chance(odds):
+        return draw(st.integers(1, odds)) == 1
+
+    def number(x):
+        return draw(st.sampled_from(["x", "", "2.5", "0", "-1"])) if chance(20) else str(x)
+
+    def cell():
+        """--v, --k, --t and --lambda; three cells in four have v >= k >= t."""
+        v, k = draw(st.integers(-1, 30)), draw(st.integers(-1, 30))
+        t, lam = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        if not chance(4):
+            v, k = max(v, k, t), max(min(v, k), t)
+        return [("--v", number(v)), ("--k", number(k)), ("--t", number(t)),
+                ("--lambda", number(lam))]
+
+    if chance(10):
+        command = draw(st.sampled_from(["bogus", "--v", ""]))
+    else:
+        command = draw(st.sampled_from(_COMMANDS))
+    known = command in _COMMANDS
+    options = []
+    if command in ("bounds", "construct", "solve") or not known:
+        options += cell()
+    if command in ("direct", "verify", "export-code"):  # the two valid designs half the time
+        options.append(("-i", draw(st.sampled_from(inputs[:2] if chance(2) else inputs))))
+    if command in ("construct", "direct", "export-code") or not known:
+        options.append(("-o", draw(st.sampled_from(outputs))))
+    if command in ("bounds", "solve") and chance(2):
+        options.append(("--directed", None))
+    if command in ("bounds", "table") and chance(2):
+        options.append(("--tsv", None))
+    if command == "export-code":
+        options.append(("--format", draw(st.sampled_from(["cw", "indel", "x"]))))
+        if chance(2):
+            options.append(("--check-deletions", number(draw(st.integers(-1, 4)))))
+    if command == "table":
+        for name in ("--v-min", "--v-max", "--k-min", "--k-max"):
+            options.append((name, number(draw(st.integers(-1, 30)))))
+        for name in ("--t", "--lambda"):
+            options.append((name, number(draw(st.integers(1, 4)))))
+    options = [opt for opt in options if not chance(20)]
+    if command == "solve":
+        options.append(("--budget", str(draw(st.integers(1, 300 if chance(4) else 20)))))
+    if chance(10):
+        options.append(draw(st.sampled_from([("--bogus", None), ("-z", "1"), ("--v", "3")])))
+    argv = [command] if command else []
+    for name, value in draw(st.permutations(options)):
+        argv += [name] if value is None else [name, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """(input paths, the two valid designs first; output paths) for the fuzzed argvs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    twofold, _ = packings.construct_optimal(DesignParams(12, 7, 2, 2))
+    save_design(root / "twofold.json", twofold, k=7, t=2, lam=2)
+    save_design(root / "directed.json", packings.direct_packing(twofold), k=7)
+    save_design(root / "invalid.json", PackingDesign(6, [[0, 1, 2], [0, 1, 3]]), k=3)
+    texts = {
+        "truncated.json": "{",
+        "list.json": "[]",
+        "empty.json": "{}",
+        "str_point.json": '{"v": 4, "k": 2, "t": 2, "lambda": 1, "directed": false, '
+                          '"blocks": [[0, "1"]]}',
+        "out_of_range.json": '{"v": 4, "k": 2, "t": 2, "lambda": 1, "directed": false, '
+                             '"blocks": [[0, 9]]}',
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "latin1.json").write_bytes(b"\xff{}")
+    inputs = [str(root / "twofold.json"), str(root / "directed.json")]
+    inputs += sorted(set(map(str, root.iterdir())) - set(inputs))
+    inputs += [str(root / "missing.json"), str(root)]
+    outputs = [str(root / "new.json"), str(root / "missing" / "x.json"), os.devnull, str(root)]
+    return inputs, outputs
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argvs_exit_with_a_code_and_at_most_one_error_line(data, fuzz_files):
+    # an invalid design (verify) and a spent budget (solve) report on stdout by design;
+    # -h/--help is left out, as argparse prints the help and raises SystemExit(0)
+    argv = data.draw(_argvs(*fuzz_files), label="argv")
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines

@@ -5,6 +5,7 @@ import pytest
 from packings import (
     DesignParams,
     NotApplicableError,
+    PackingDesign,
     balanced_packing,
     construct_optimal,
     exact_by_theorems,
@@ -184,6 +185,61 @@ class TestConstructOptimal:
                     assert len(design.blocks) == report.value
                     assert validate_packing(design, params).valid
                     assert max(point_frequencies(design)) <= lam + 1
+
+
+def _inner_design_reference(n, v, k, t, lam):
+    """The blocks of ``general_construction`` built with the inner packing as a design
+    of its own: ``balanced_packing(n, v - shared, inner_k, 1)``, shifted past the
+    shared points."""
+    if n <= lam:
+        return (tuple(range(k)),) * n
+    shared = _shared_points(n, t, lam)
+    blocks = [[point for point, subset in shared if i in subset] for i in range(n)]
+    inner_k = k - (t - 1) * choose(n - 1, lam)
+    if inner_k:
+        inner = balanced_packing(n, v - len(shared), inner_k, 1)
+        for block, extra in zip(blocks, inner.blocks):
+            block.extend(x + len(shared) for x in extra)
+    return tuple(tuple(sorted(block)) for block in blocks)
+
+
+class TestWindowConstructions:
+    """The window designs, pinned over t in {2, 3}, lam <= 3, t <= k <= 30, k <= v <= 120."""
+
+    @staticmethod
+    def window_cells():
+        for t in (2, 3):
+            for lam in (1, 2, 3):
+                for k in range(t, 31):
+                    for v in range(k, 121):
+                        report = exact_by_theorems(DesignParams(v, k, t, lam))
+                        if report.value is not None:
+                            yield DesignParams(v, k, t, lam), report.value
+
+    def test_blocks_match_the_inner_design_reference(self):
+        cells = 0
+        for params, n in self.window_cells():
+            design, _ = construct_optimal(params)
+            reference = _inner_design_reference(n, params.v, params.k, params.t, params.lam)
+            assert design.blocks == reference, params
+            cells += 1
+        assert cells == 5682
+
+    def test_one_design_is_built_per_construction(self, monkeypatch):
+        built = []
+
+        def spy(v, blocks):
+            built.append(v)
+            return PackingDesign(v, blocks)
+
+        monkeypatch.setattr(construct, "PackingDesign", spy)
+        calls = 0
+        for params, _ in self.window_cells():
+            built.clear()
+            construct_optimal(params)
+            assert len(built) == 1, params
+            calls += 1
+        assert calls == 5682
 
 
 @pytest.mark.parametrize(
