@@ -2,7 +2,8 @@
 
 Subcommands: bounds, construct, direct, verify, solve, export-code, table.
 Exit codes: 0 success, 1 invalid input, 2 theorem or bound not applicable,
-3 search budget exhausted.  Human-readable errors go to standard error.
+3 search budget exhausted.  Human-readable errors go to standard error.  An
+output pipe that its reader closed ends the command with exit 1 and no message.
 """
 
 from __future__ import annotations
@@ -274,7 +275,12 @@ def main(argv: list[str] | None = None) -> int:
         # the command, so that subparser parses it alone, and argparse runs one pass
         command = _PARSER.commands.get(argv[0]) if argv else None
         args = _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the rest of the output goes to devnull, so the last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except (ValueError, OSError) as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE if isinstance(exc, NotApplicableError) else EXIT_INVALID

@@ -14,8 +14,8 @@ windows, so an "optimal" certificate is independent ground truth for them.
 
 Each candidate is one int mask over the coverage units (t-sets, or ordered
 t-tuples in the directed case).  The unit counts of the chosen blocks are
-held as saturating bitplanes, so a candidate is admissible when its mask
-misses the top plane, and a node costs a few integer operations.
+lam bitplanes in one int, plane j at bits j*width on holding the units used
+more than j times: a mask is admissible when it misses the top plane.
 
 The candidates come from one prefix walker, ``_walk``: a depth-first walk
 over the prefixes of the k-subsets (or ordered k-tuples), in lexicographic
@@ -96,7 +96,7 @@ block from level[p:], and every later block from a child level, which
 keeps only candidates of its own level at or after the one chosen; so
 every block they add lies in level[p:], and uses only units in its union
 `reach` = suffix[p], each at most as often as it has uses left under P:
-free_j = reach & ~planes[j] holds the units with a (j+1)-th use left.  A
+free_j = reach & ~P_j holds the units with a (j+1)-th use left.  A
 block uses C(k,t) units, so at most sum_j |free_j| // C(k,t) blocks can be
 added (the unit bound).  A block through point x uses the C(k-1,t-1) units
 of its own that contain x, all in star[x], the mask of the units holding
@@ -177,27 +177,24 @@ class SearchResult(NamedTuple):
     candidates: int = 0  # candidates the walks yielded: the first descent's, then the pool's
 
 
-def _saturate(planes: list[int], mask: int) -> list[int]:
-    """The planes after one more use of each unit in mask; planes[j] holds units used > j times."""
-    added = []
-    for plane in planes:
-        added.append(plane | mask)
-        mask &= plane
-    return added
+def _saturate(planes: int, mask: int, width: int, copies: int) -> int:
+    """The planes after one more use of each unit in mask: plane j gains mask & plane j-1."""
+    return planes | (planes << width | mask) & mask * copies
 
 
 def _search(
     masks: list[int],
     points: list[int],
-    unit_cap: int,
+    width: int,
+    copies: int,
     target: int,
     budget: int | None,
-    cut: Callable[[int, list[int], int], bool],
+    cut: Callable[[int, int, int], bool],
 ) -> tuple[list[int], bool, int, int]:
     """One seeded round: depth-first search for a design of target blocks.
 
     Candidate i covers the coverage units set in masks[i] and the points set
-    in points[i]; each unit may be used at most unit_cap times.  Block
+    in points[i]; each unit may be used once per one-bit of copies.  Block
     sequences are kept index-nondecreasing (one canonical order per multiset
     of blocks), the search is rooted at candidate 0, which any design can be
     relabeled to contain, and a candidate is chosen only when its fresh
@@ -217,13 +214,13 @@ def _search(
     # The open levels, innermost last: each holds the candidates admissible
     # there, the union of their masks from each position on, the reach of
     # its last capacity test, the end and next position of its loop, its
-    # unit planes, where planes[j] holds the units used more than j times,
-    # and the number of points its node uses.  The root level reaches every
-    # candidate.
+    # unit planes and the number of points its node uses.  The root level
+    # reaches every candidate.
+    top = copies.bit_length() - 1  # the top plane's shift
     level = list(range(len(masks)))
     suffix = [reduce(or_, masks)]
     tested = None
-    end, pos, planes, used = 1, 0, [0] * unit_cap, 0
+    end, pos, planes, used = 1, 0, 0, 0
     stack = []
     while True:
         if pos == end:
@@ -254,8 +251,8 @@ def _search(
             deepest = chosen.copy()
             if len(chosen) == target:
                 return deepest, False, nodes, cuts
-        added = _saturate(planes, masks[idx])
-        full = added[-1]
+        added = _saturate(planes, masks[idx], width, copies)
+        full = added >> top
         # saturation only grows with depth, so the children's candidates
         # are this level's remaining ones that stay admissible
         children = [j for j in level[pos - 1 :] if not masks[j] & full]
@@ -406,31 +403,24 @@ def _stars(v: int, t: int, directed: bool) -> list[int]:
 
 
 def _capacity_cut(
-    v: int, k: int, t: int, lam: int, directed: bool
-) -> Callable[[int, list[int], int], bool]:
+    v: int, k: int, t: int, directed: bool, copies: int
+) -> Callable[[int, int, int], bool]:
     """The capacity bound of the module docstring, as a test cut(reach, planes, room).
 
     The test is true when at most room blocks can be added from candidates
-    whose masks lie in reach, planes[j] holding the units used more than j
-    times.  It lays the free planes side by side in one int, so the unit
-    bound is one popcount and each point one AND and one popcount against
-    its star copied once per plane.
+    whose masks lie in reach, counted on the free planes, held in one int as
+    the planes are, against the stars copied once per plane.
     """
     per_block, per_point = math.comb(k, t), math.comb(k - 1, t - 1)
-    width = v**t if directed else math.comb(v, t)
-    copies = ((1 << lam * width) - 1) // ((1 << width) - 1)  # lam ones, width bits apart
     wide_stars = [star * copies for star in _stars(v, t, directed)]
 
-    def cut(reach: int, planes: list[int], room: int) -> bool:
-        # the candidates miss the top plane, so all of reach is free there
-        wide = reach
-        for plane in planes[:-1]:
-            wide = wide << width | reach & ~plane
-        if wide.bit_count() // per_block <= room:
+    def cut(reach: int, planes: int, room: int) -> bool:
+        free = reach * copies & ~planes
+        if free.bit_count() // per_block <= room:
             return True
         need, total = (room + 1) * k, 0
         for star in wide_stars:
-            total += (wide & star).bit_count() // per_point
+            total += (free & star).bit_count() // per_point
             if total >= need:
                 return False
         return True
@@ -459,6 +449,7 @@ def _exact(
     if v * lam * width > MASK_BITS_LIMIT:
         raise ValueError(f"search at lambda={lam:,} needs {v} point stars of {lam:,} planes of "
                          f"{width_text} bits, beyond the limit of {MASK_BITS_LIMIT:,} bits")
+    copies = ((1 << lam * width) - 1) // ((1 << width) - 1)  # lam ones, width bits apart
     cap = best_upper_bound(params, directed=directed, include_exact=False).value
     if floor is not None:
         cap = min(cap, floor + 1)
@@ -469,24 +460,25 @@ def _exact(
     descent: list[tuple[int, ...]] = []
     drawn = 0
     if budget is None or cap <= budget:
-        planes = [0] * lam
-        for drawn, (cand, mask, _) in enumerate(_walk(v, k, t, directed, planes), 1):
-            while not mask & planes[-1]:
+        planes, full = 0, [0]
+        for drawn, (cand, mask, _) in enumerate(_walk(v, k, t, directed, full), 1):
+            while not mask & full[-1]:
                 descent.append(cand)
                 if len(descent) == cap:
                     return SearchResult(cap, design(v, tuple(descent)), OPTIMAL, cap, 0, drawn)
-                planes[:] = _saturate(planes, mask)
+                planes = _saturate(planes, mask, width, copies)
+                full[-1] = planes >> (lam - 1) * width
     # lists: the search reads them through list.__getitem__, faster than a tuple's
     cands, masks, points = map(list, zip(*_pool(v, k, t, lam, directed)))
     drawn += len(cands)
     # rounds at a falling target, on the budget the earlier ones left
-    cut = _capacity_cut(v, k, t, lam, directed)
+    cut = _capacity_cut(v, k, t, directed, copies)
     best, certificate, nodes, cuts = descent, OPTIMAL, 0, 0
     for target in range(cap, max(len(descent), floor or 0), -1):
         left = None if budget is None else budget - nodes
-        deepest, spent, round_nodes, round_cuts = _search(masks, points, lam, target, left, cut)
-        nodes += round_nodes
-        cuts += round_cuts
+        deepest, spent, n_nodes, n_cuts = _search(masks, points, width, copies, target, left, cut)
+        nodes += n_nodes
+        cuts += n_cuts
         if len(deepest) == target or len(deepest) > len(best):
             best = [cands[i] for i in deepest]
         if spent:

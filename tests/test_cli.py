@@ -75,6 +75,29 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # the rest of this table once ended in "error: [Errno 32] Broken pipe"
+        (("table", "--v-min", "1", "--v-max", "200", "--k-min", "3", "--k-max", "30"), 1),
+        # this output fits stdout's buffer, so it meets the closed pipe only when flushed
+        (("bounds", "--v", "20", "--k", "4"), 0),
+    ],
+)
+def test_a_closed_pipe_ends_the_command_without_a_message(argv, lines):
+    # the reader leaves after a few lines, as `| head -1` does
+    env = {**os.environ, "PYTHONPATH": str(Path(packings.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout into a pipe is block-buffered by default
+    with subprocess.Popen(
+        [sys.executable, "-m", "packings", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        first = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert all(first) and (proc.returncode, err) == (1, b"")
+
+
 def test_a_known_command_parses_as_through_the_top_level_parser(
     capsys, monkeypatch, tmp_path, twofold_12_7
 ):
@@ -401,6 +424,16 @@ class TestSolve:
         assert err == ("error: search at lambda=1,000,000,000,000 needs 6 point stars of "
                        "1,000,000,000,000 planes of 15 bits, "
                        "beyond the limit of 100,000,000 bits\n")
+
+    @pytest.mark.parametrize("lam", ["20000", "1000000"])
+    def test_large_lambda_inside_the_limit_completes(self, capsys, lam):
+        # the capacity cut once laid the lam planes side by side one shift at a time:
+        # about 5 s at lambda = 20,000, and past a minute at 10^6
+        argv = ("solve", "--v", "6", "--k", "3", "--lambda", lam, "--budget", "50")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert (code, out, err) == (3, "PDN = 50 (budget-exhausted lower bound)\n", "")
 
     def test_directed_masks_are_counted_at_v_to_the_t_bits(self, capsys, monkeypatch):
         # 32,760 ordered blocks times P(15, 3) = 2,730 units passes the limit, but the masks

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
@@ -26,7 +27,9 @@ from packings.solve import (
     OPTIMAL,
     POOL_LIMIT,
     SearchResult,
+    _capacity_cut,
     _pool,
+    _saturate,
     _stars,
     _walk,
 )
@@ -502,6 +505,32 @@ class TestCapacityBound:
     def test_results_without_cuts_still_build(self):
         result = SearchResult(1, PackingDesign(3, ((0, 1, 2),)), OPTIMAL)
         assert (result.nodes, result.cuts, result.candidates) == (0, 0, 0)
+
+
+class TestPackedPlanes:
+    """The lam unit planes, packed in one int, agree with a count per unit."""
+
+    @pytest.mark.parametrize("lam", [1, 2, 3, 7])
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_planes_and_free_units_follow_the_counts(self, lam, width):
+        copies = ((1 << lam * width) - 1) // ((1 << width) - 1)
+        # at t = k = 1 each unit is a block and its own star, so the cut holds
+        # exactly when the free planes have at most room units in all
+        cut = _capacity_cut(width, 1, 1, False, copies)
+        rng = random.Random(lam * 1000 + width)
+        for _ in range(5):
+            planes, counts = 0, [0] * width
+            for _ in range(3 * lam + 3):
+                mask = rng.getrandbits(width)
+                planes = _saturate(planes, mask, width, copies)
+                for u in range(width):
+                    counts[u] = min(counts[u] + (mask >> u & 1), lam)
+                model = [sum(1 << u for u in range(width) if counts[u] > j) for j in range(lam)]
+                assert [planes >> j * width & (1 << width) - 1 for j in range(lam)] == model
+                assert planes >> lam * width == 0
+                reach = rng.getrandbits(width)
+                free = sum((reach & ~plane).bit_count() for plane in model)
+                assert cut(reach, planes, free) and (free == 0 or not cut(reach, planes, free - 1))
 
 
 class TestSiblingCut:
