@@ -9,6 +9,7 @@ share no ordered t-subsequence.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations, compress
@@ -56,12 +57,16 @@ def _max_lcs(words) -> int:
     """Largest LCS length over all pairs of words, 0 when no pair shares a symbol.
 
     A pair's LCS is at most its number of matches, so a pair whose match
-    list is no longer than the best LCS so far is skipped.
+    list is no longer than the best LCS so far is skipped.  A list in which
+    no neighbouring pair rises has no rising pair at all, so its LCS is 1
+    without a patience sort: the case of two words that share each common
+    pair of symbols only in reverse, as in a directed packing.
     """
     best = 0
     for matches in _shared_matches(words):
         if len(matches) > best:
-            best = max(best, max(_lis_heights(matches)))
+            rises = any(map(operator.lt, matches, matches[1:]))
+            best = max(best, max(_lis_heights(matches)) if rises else 1)
     return best
 
 
@@ -74,10 +79,21 @@ def lcs_length(a, b) -> int:
     return _max_lcs((a, b))
 
 
+def _check_count(name: str, value: object, low: int, high: int | None = None) -> None:
+    """Raise ValueError naming the field unless value is an int (not a bool) in low..high."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        within = f"at least {low}" if high is None else f"within {low}..{high}"
+        raise ValueError(f"{name} must be {within}, got {value}")
+
+
 class ConstantWeightCode(_Value):
-    """Binary code whose words all share the same weight."""
+    """Binary code whose words all share the same weight, 0 <= weight <= length."""
 
     def __init__(self, length: int, weight: int, words: Iterable[Iterable[int]]) -> None:
+        _check_count("length", length, 0)
+        _check_count("weight", weight, 0, length)
         words = tuple(tuple(w) for w in words)
         bad = _first_non_int(words)  # an entry equal to 0 or 1 need not be an int
         for w in words:
@@ -94,7 +110,7 @@ class ConstantWeightCode(_Value):
 
 
 class IndelCode(_Value):
-    """Fixed-length code over the alphabet {0, ..., alphabet_size-1}.
+    """Fixed-length code over the alphabet {0, ..., alphabet_size-1}, alphabet_size >= 1.
 
     Words are symbol sequences; repeats inside a word are forbidden unless
     ``allow_repeats``, a permission that equality ignores, is set (as after
@@ -110,6 +126,8 @@ class IndelCode(_Value):
         *,
         allow_repeats: bool = False,
     ) -> None:
+        _check_count("alphabet_size", alphabet_size, 1)
+        _check_count("word_length", word_length, 0)
         words = tuple(tuple(w) for w in words)
         bad = _first_non_int(words)
         for w in words:
@@ -185,7 +203,9 @@ def max_pairwise_lcs(code: IndelCode) -> int:
 
     One all-pairs Hunt-Szymanski pass (``_max_lcs``): only pairs that share
     a symbol are compared.  Their match lists cost O(total symbols + total
-    matches), and each pair searched adds O(r log k) for its r matches.
+    matches), and each pair searched adds O(r log k) for its r matches, or
+    O(r) when no neighbouring matches rise, as between the words of a
+    directed packing at t = 2.
     """
     if len(code.words) < 2:
         raise ValueError("pairwise LCS undefined for fewer than two words")

@@ -19,8 +19,16 @@ CONSTRUCT_POINTS_LIMIT = 100_000_000
 
 
 def _deal(n: int, v: int, k: int) -> list[list[int]]:
-    """n blocks of k points; block i holds (ik + j) mod v for j < k."""
-    return [[(i * k + j) % v for j in range(k)] for i in range(n)]
+    """n blocks of k points; block i holds (ik + j) mod v for j < k.
+
+    Requires k <= v, which both callers guarantee: a block then wraps past
+    v at most once, so it is built from at most two ranges.
+    """
+    blocks = []
+    for i in range(n):
+        start = i * k % v
+        blocks.append([*range(start, min(start + k, v)), *range(start + k - v)])
+    return blocks
 
 
 def balanced_packing(n: int, v: int, k: int, t: int = 2) -> PackingDesign:
@@ -88,7 +96,7 @@ def general_construction(n: int, v: int, k: int, t: int, lam: int) -> PackingDes
                 f"inner packing exceeds multiplicity {lam} at n={n} v={v} k={k} t={t}"
             )
         for block, extra in zip(blocks, _deal(n, v - shared, inner_k)):
-            block.extend(x + shared for x in extra)
+            block.extend(map(shared.__add__, extra))
     return PackingDesign(v, blocks)
 
 

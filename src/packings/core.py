@@ -182,15 +182,19 @@ def _chain_heights(common: list[int], others: list[dict[int, int]]) -> list[int]
     ``common`` lists the shared points in the order of one block; a chain
     also keeps its order in every block whose position map is in
     ``others``.  One other block makes this a longest increasing
-    subsequence of positions, read from the right; more take a quadratic
-    scan.
+    subsequence of positions, read from the right, unless no neighbouring
+    pair rises, when every height is 1 (as when the blocks reverse every
+    shared pair); more take a quadratic scan.
     """
     s = len(common)
     if not others:
         return list(range(s, 0, -1))
     if len(others) == 1:
         pos = others[0]
-        return _lis_heights([-pos[x] for x in reversed(common)])[::-1]
+        seq = [-pos[x] for x in reversed(common)]
+        if not any(map(operator.lt, seq, seq[1:])):  # nothing rises, so no chain passes 1
+            return [1] * s
+        return _lis_heights(seq)[::-1]
     keys = [[p[x] for p in others] for x in common]
     heights = [0] * s
     for a in reversed(range(s)):
@@ -231,14 +235,17 @@ def _intersection_worst(
     sorted, otherwise t points in the same order in every block of S.  The
     walk climbs one level of subsets at a time, keeping a subset only while
     its common points hold a t-chain; the last level reached has size M,
-    and the least worst tuple is the least t-chain over its subsets.  Work
+    and the least worst tuple is the least t-chain over its subsets.
+    Sorted blocks are point sets: a subset's common points are one set
+    intersection, sorted, and its least t-chain is their first t points.
+    Ordered blocks keep each point's position, to test chains.  Work
     (points scanned, pairs compared) is counted against ``budget``, and
     None is returned once it runs over, or when a block repeats a point.
     """
-    pos = [{x: i for i, x in enumerate(block)} for block in blocks]
+    ordered = any(list(block) != sorted(block) for block in blocks)
+    pos = [{x: i for i, x in enumerate(block)} if ordered else set(block) for block in blocks]
     if any(len(p) != len(block) for p, block in zip(pos, blocks)):
         return None
-    ordered = any(any(map(operator.gt, block, block[1:])) for block in blocks)
     n = len(blocks)
     level = [
         ((i,), list(block), range(len(block), 0, -1))
@@ -250,24 +257,31 @@ def _intersection_worst(
         top, grown = level, []
         for subset, common, _ in level:
             for j in range(subset[-1] + 1, n):
-                shared = [x for x in common if x in pos[j]]
-                others = [pos[i] for i in subset[1:] + (j,)] if ordered else []
+                if ordered:
+                    shared = [x for x in common if x in pos[j]]
+                    others = [pos[i] for i in subset[1:] + (j,)]
+                else:
+                    shared, others = sorted(pos[j].intersection(common)), []
                 # at least one unit per subset tried, so the budget also caps their number
                 work += 1 + len(common) + (len(shared) ** 2 * len(others) if len(others) > 1 else 0)
                 if work > budget:
                     return None
                 if len(shared) < t:
                     continue
-                heights = _chain_heights(shared, others)
-                if max(heights, default=0) >= t:
+                # t sorted common points always make a t-chain
+                heights = _chain_heights(shared, others) if ordered else None
+                if not ordered or max(heights, default=0) >= t:
                     grown.append((subset + (j,), shared, heights))
         level = grown
     if not top:
         return None, 0
-    least = min(
-        _least_chain(common, [pos[i] for i in subset[1:]] if ordered else [], heights, t)
-        for subset, common, heights in top
-    )
+    if ordered:
+        least = min(
+            _least_chain(common, [pos[i] for i in subset[1:]], heights, t)
+            for subset, common, heights in top
+        )
+    else:
+        least = min(tuple(common[:t]) for _, common, _ in top)
     return least, len(top[0][0])
 
 

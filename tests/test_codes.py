@@ -167,6 +167,28 @@ class TestConstantWeight:
             ConstantWeightCode(4, 2, words)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "length,weight,words,message",
+        [
+            (-3, -1, [], "length must be at least 0, got -3"),
+            (3, 5, [], "weight must be within 0..3, got 5"),
+            (3, -1, [], "weight must be within 0..3, got -1"),
+            (True, 1, [(1,)], "length must be an integer, got True"),
+            (2, False, [(0, 0)], "weight must be an integer, got False"),
+            (2.0, 1, [(1, 0)], "length must be an integer, got 2.0"),
+            # the parameters are checked before the words
+            (3, 5, [(1,)], "weight must be within 0..3, got 5"),
+        ],
+    )
+    def test_nonsense_parameters_are_named(self, length, weight, words, message):
+        with pytest.raises(ValueError) as info:
+            ConstantWeightCode(length, weight, words)
+        assert str(info.value) == message
+
+    def test_edge_parameters_build(self):
+        assert ConstantWeightCode(0, 0, [()]).words == ((),)
+        assert ConstantWeightCode(3, 3, [(1, 1, 1)]).weight == 3
+
     def test_window_design_distance(self):
         from packings import construct_optimal
 
@@ -214,6 +236,28 @@ class TestIndelCode:
     def test_identical_words_rejected_by_type(self):
         with pytest.raises(ValueError, match="distinct"):
             IndelCode(4, 3, ((0, 1, 2), (0, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "alphabet_size,word_length,words,message",
+        [
+            (2.5, 1, [(0,)], "alphabet_size must be an integer, got 2.5"),
+            (-2, -4, [], "alphabet_size must be at least 1, got -2"),
+            (0, 0, [], "alphabet_size must be at least 1, got 0"),
+            (3, -1, [], "word_length must be at least 0, got -1"),
+            (True, 1, [(0,)], "alphabet_size must be an integer, got True"),
+            (3, 1.0, [(0,)], "word_length must be an integer, got 1.0"),
+            # the parameters are checked before the words
+            (2, -1, [(5, 5)], "word_length must be at least 0, got -1"),
+        ],
+    )
+    def test_nonsense_parameters_are_named(self, alphabet_size, word_length, words, message):
+        with pytest.raises(ValueError) as info:
+            IndelCode(alphabet_size, word_length, words)
+        assert str(info.value) == message
+
+    def test_edge_parameters_build(self):
+        assert IndelCode(1, 0, [()]).words == ((),)
+        assert IndelCode(1, 1, [(0,)]).alphabet_size == 1
 
     def test_repeat_symbols_need_flag(self):
         with pytest.raises(ValueError, match="repeats"):
@@ -304,6 +348,33 @@ class TestAllPairsLcs:
                 continue
             code = IndelCode(q, k, tuple(words), allow_repeats=True)
             assert max_pairwise_lcs(code) == self.brute_force(code)
+
+    def test_rising_shortcut_matches_dp(self, rng):
+        # half the cases are two words that share symbols only in reverse (no
+        # match list rises), the rest random words, repeats allowed
+        cases = [
+            [], [(0, 1, 2)], [(0, 1), (1, 0)], [(3,), (3,)],
+            [tuple(range(9)), (8, 7, 6, 4, 5, 3, 2, 1, 0)],  # one ascent between decreasing runs
+        ]
+        for _ in range(400):
+            q = rng.randrange(1, 12)
+            if rng.random() < 0.5:
+                a = rng.sample(range(q), rng.randrange(0, q + 1))
+                b = [x for x in reversed(a) if rng.random() < 0.8]
+                b += range(q, q + rng.randrange(3))  # symbols a lacks
+                if len(b) > 1 and rng.random() < 0.3:  # one ascent between decreasing runs
+                    i = rng.randrange(len(b) - 1)
+                    b[i], b[i + 1] = b[i + 1], b[i]
+                cases.append([tuple(a), tuple(b)])
+            else:
+                k = rng.randrange(0, 9)
+                cases.append([tuple(rng.choices(range(q), k=k)) for _ in range(rng.randrange(0, 6))])
+        flat = 0
+        for words in cases:
+            expected = max((lcs_dp(a, b) for a, b in combinations(words, 2)), default=0)
+            assert codes._max_lcs(words) == expected, words
+            flat += expected == 1
+        assert flat > 100  # the shortcut's case is well covered
 
     def test_words_sharing_nothing(self):
         assert max_pairwise_lcs(IndelCode(9, 3, ((0, 1, 2), (3, 4, 5), (8, 7, 6)))) == 0

@@ -2,7 +2,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -296,6 +296,105 @@ class TestMultiplicityPaths:
     def test_repeated_points_go_to_the_count(self):
         assert core._intersection_worst(((0, 0, 1), (0, 1)), 2, math.inf) is None
         assert core.worst_multiplicity(((0, 0, 1), (0, 1)), 2) == ((0, 1), 3)
+
+    @staticmethod
+    def other_positions(rng, s):
+        """Positions of s common points in one other block.
+
+        Half of the time the block holds them in reverse, so that no chain
+        rises; a quarter of the time it holds them in reverse but for one
+        ascent between two decreasing runs; otherwise in any order.
+        """
+        pos = rng.sample(range(3 * s + 1), s)
+        kind = rng.randrange(4)
+        if kind < 3:
+            pos.sort(reverse=True)
+        if kind == 2 and s > 1:
+            i = rng.randrange(s - 1)
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+        return pos
+
+    def test_one_other_block_matches_the_patience_sort(self, rng):
+        flat = 0
+        for s in [0, 1] * 4 + [2] * 20 + [rng.randrange(3, 80) for _ in range(400)]:
+            common = rng.sample(range(300), s)
+            pos = dict(zip(common, self.other_positions(rng, s)))
+            reference = core._lis_heights([-pos[x] for x in reversed(common)])[::-1]
+            assert core._chain_heights(common, [pos]) == reference, (common, pos)
+            flat += s > 1 and max(reference) == 1
+        assert flat > 150  # the shortcut's case is well covered
+
+    @staticmethod
+    def window_designs():
+        """construct_optimal designs at the paper's block sizes, with 3 to 5 blocks each."""
+        from packings import construct_optimal
+
+        for i, k in enumerate((40, 90, 160, 240, 400)):
+            for lam in (1, 2):
+                n = lam + 2 + i % 2
+                v = max(k, -(-(n * k - math.comb(n, lam + 1)) // lam))  # the window's least v
+                params = DesignParams(v, k, 2, lam)
+                design = construct_optimal(params)[0]
+                assert design.n == n
+                yield design, params
+
+    @staticmethod
+    def corrupted(design, lam):
+        """A copy with one point moved so that a pair lies in lam + 1 blocks.
+
+        The worst pair {x, y} of the valid design lies in lam blocks; a block
+        holding y but not x loses another point and gains x, next to y and
+        on the side x takes in a block that holds both.
+        """
+        blocks = [list(b) for b in design.blocks]
+        x, y = validate_packing(design, DesignParams(design.v, design.v, 2, lam)).worst_t_set
+        holder = next(b for b in blocks if x in b and y in b)
+        d = next(b for b in blocks if (x in b) != (y in b))
+        if x in d:
+            x, y = y, x
+        d.remove(next(z for z in d if z != y))
+        before = holder.index(x) < holder.index(y)
+        d.insert(d.index(y) + (not before), x)
+        return type(design)(design.v, blocks)
+
+    @staticmethod
+    def swapped(design):
+        """A directed copy in which one block swaps a pair that another holds reversed."""
+        blocks = [list(b) for b in design.blocks]
+        for a, b in combinations(blocks, 2):
+            shared = [x for x in a if x in b]
+            for x, y in combinations(shared, 2):
+                i, j = b.index(x), b.index(y)
+                if i > j:
+                    b[i], b[j] = y, x
+                    return DirectedPackingDesign(design.v, blocks)
+        return None
+
+    def check_walk_and_witness(self, design, lam, valid):
+        report = validate_packing(design, DesignParams(design.v, design.v, 2, lam))
+        walked = self.both_paths(design.blocks, 2)
+        assert walked == (report.worst_t_set, report.worst_multiplicity)
+        assert report.valid == valid
+        assert report.worst_multiplicity == lam + (not valid)
+        holders = tuple(i for i, b in enumerate(design.blocks) if is_subsequence(report.worst_t_set, b))
+        assert report.blocks == holders
+
+    def test_window_designs_at_the_papers_block_sizes(self):
+        from packings import direct_packing
+
+        swaps = 0
+        for design, params in self.window_designs():
+            directed = direct_packing(design)
+            for d, lam in ((design, params.lam), (directed, 1)):
+                self.check_walk_and_witness(d, lam, True)
+                self.check_walk_and_witness(self.corrupted(d, lam), lam, False)
+            # in a 2-fold directed design two blocks share pairs, each reversed
+            swapped = self.swapped(directed)
+            assert (swapped is None) == (params.lam == 1)
+            if swapped is not None:
+                self.check_walk_and_witness(swapped, 1, False)
+                swaps += 1
+        assert swaps == 5
 
     def test_each_regime_takes_its_path(self, monkeypatch):
         from packings import construct_optimal

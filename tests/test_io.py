@@ -265,6 +265,33 @@ class TestCodeFiles:
                 code_from_dict(data)
 
 
+    @pytest.mark.parametrize(
+        "data,error,message",
+        [
+            ({"type": "cw", "length": -3, "weight": -1, "words": []},
+             ValueError, "length must be at least 0, got -3"),
+            ({"type": "cw", "length": 3, "weight": 5, "words": []},
+             ValueError, "weight must be within 0..3, got 5"),
+            ({"type": "cw", "length": True, "weight": 1, "words": ["1"]},
+             StructuralError, "malformed code file: 'length' must be an integer"),
+            ({"type": "indel", "length": 1, "alphabet": 2.5, "words": [[0]]},
+             StructuralError, "malformed code file: 'alphabet' must be an integer"),
+            ({"type": "indel", "length": -4, "alphabet": -2, "words": []},
+             ValueError, "alphabet_size must be at least 1, got -2"),
+            ({"type": "indel", "length": -1, "alphabet": -5, "words": []},
+             ValueError, "alphabet_size must be at least 1, got -5"),
+            ({"type": "indel", "length": -1, "alphabet": 5, "words": []},
+             ValueError, "word_length must be at least 0, got -1"),
+        ],
+    )
+    def test_nonsense_parameters_are_refused(self, tmp_path, data, error, message):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(error) as info:
+            load_code(path)
+        assert str(info.value) == message
+
+
 class TestWriteInPlace:
     """Every file is written by ``write_file``: in place, then cut to the length written."""
 
