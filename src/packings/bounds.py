@@ -95,12 +95,6 @@ def _hanani(v: int, k: int, lam: int, base: int) -> BoundReport:
     )
 
 
-def sj_quadratic_feasible(d: int, v: int, k: int, t: int = 2) -> bool:
-    """Quadratic counting condition a size-d packing must satisfy at lam=1."""
-    q, r = divmod(d * k, v)
-    return d * (d - 1) * (t - 1) >= q * (q - 1) * v + 2 * q * r
-
-
 def second_johnson(v: int, k: int, t: int = 2) -> BoundReport:
     """Largest block count passing the quadratic counting test (lam = 1).
 

@@ -149,9 +149,7 @@ def cmd_verify(args) -> int:
             f"{report.worst_multiplicity} (limit {params.lam})"
         )
         print(f"held by blocks: {', '.join(map(str, report.blocks))}")
-    uniform = doc.k is not None and all(
-        len(block) == doc.k for block in doc.design.blocks
-    )
+    uniform = doc.k is not None and all(len(block) == doc.k for block in doc.design.blocks)
     if report.valid and not doc.directed and uniform and doc.design.blocks:
         for name, passed, witness in structural_diagnostics(doc.design, params):
             print(f"check {name}: {'pass' if passed else 'FAIL'} {_text(witness)}")

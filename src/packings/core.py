@@ -82,6 +82,8 @@ class DesignParams(_Value):
     """Problem parameters: v points, block size k, t-subsets covered at most lam times."""
 
     def __init__(self, v: int, k: int, t: int, lam: int = 1) -> None:
+        if not type(v) is type(k) is type(t) is type(lam) is int:  # a bool is not an int here
+            raise ValueError(f"require integers, got v={v!r} k={k!r} t={t!r} lam={lam!r}")
         if not v >= k >= t >= 1:
             raise ValueError(f"require v >= k >= t >= 1, got v={v} k={k} t={t}")
         if lam < 1:
@@ -99,8 +101,9 @@ class _Design(_Value):
     """
 
     def __init__(self, v: int, blocks: Iterable[Iterable[int]]) -> None:
-        if v < 1:
-            raise StructuralError(f"v must be positive, got {v}")
+        if type(v) is not int or v < 1:  # a bool is not an int here
+            need = "an integer" if type(v) is not int else "positive"
+            raise StructuralError(f"v must be {need}, got {v!r}")
         rows = tuple(map(tuple, blocks))
         bad = _first_non_int(rows)  # first, so that sorting never compares a str with an int
         if bad:
@@ -181,14 +184,12 @@ def _chain_heights(common: list[int], others: list[dict[int, int]]) -> list[int]
 
     ``common`` lists the shared points in the order of one block; a chain
     also keeps its order in every block whose position map is in
-    ``others``.  One other block makes this a longest increasing
-    subsequence of positions, read from the right, unless no neighbouring
-    pair rises, when every height is 1 (as when the blocks reverse every
-    shared pair); more take a quadratic scan.
+    ``others``, which holds at least one.  One other block makes this a
+    longest increasing subsequence of positions, read from the right,
+    unless no neighbouring pair rises, when every height is 1 (as when the
+    blocks reverse every shared pair); more take a quadratic scan.
     """
     s = len(common)
-    if not others:
-        return list(range(s, 0, -1))
     if len(others) == 1:
         pos = others[0]
         seq = [-pos[x] for x in reversed(common)]

@@ -2,6 +2,7 @@
 
 Design files carry the fields v, k, t, lambda, directed, blocks (in that
 order, UTF-8); k is null for variable block sizes and points are 0-based.
+``DesignDocument`` checks that header whether the document is written or read.
 Code files carry type ("cw" or "indel"), length, weight or alphabet, and the
 word list: 0/1 strings for constant-weight words (leftmost character is
 point 0), integer arrays for deletion-code words.  Both kinds are written
@@ -33,9 +34,19 @@ from .core import (
 
 
 class DesignDocument(_Value):
-    """A design plus the problem parameters stored alongside it."""
+    """A design plus its header: t, lam ints >= 1, k None or an int that no block outgrows."""
 
     def __init__(self, design: Design, k: int | None, t: int, lam: int) -> None:
+        for key, value in (("t", t), ("lambda", lam)):
+            if type(value) is not int:  # a bool is not an int here
+                raise StructuralError(f"{key!r} must be an integer")
+        if t < 1 or lam < 1:
+            raise StructuralError(f"need t, lambda >= 1, got {t}, {lam}")
+        if k is not None and type(k) is not int:
+            raise StructuralError("'k' must be an integer")
+        if k is not None and design.blocks and max(map(len, design.blocks)) > k:
+            block = next(block for block in design.blocks if len(block) > k)
+            raise StructuralError(f"block {block} larger than k={k}")
         self.__dict__.update(design=design, k=k, t=t, lam=lam)
 
     @property
@@ -115,21 +126,16 @@ def design_to_dict(doc: DesignDocument) -> dict:
 def design_from_dict(data: object) -> DesignDocument:
     data = _fields(data, "design", ("v", "k", "t", "lambda", "directed", "blocks"))
     v = _require_int(data, "v")
-    t = _require_int(data, "t")
-    lam = _require_int(data, "lambda")
-    if t < 1 or lam < 1:
-        raise StructuralError(f"malformed design file: need t, lambda >= 1, got {t}, {lam}")
-    k = data["k"] if data["k"] is None else _require_int(data, "k")
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise StructuralError("malformed design file: 'directed' must be a boolean")
     # the design's constructor checks the points and makes each block a tuple,
-    # so the lists go in as read
+    # so the lists go in as read; the document checks the header
     design = (DirectedPackingDesign if directed else PackingDesign)(v, _rows(data, "blocks", "design"))
-    for block in design.blocks if k is not None else ():
-        if len(block) > k:
-            raise StructuralError(f"malformed design file: block {block} larger than k={k}")
-    return DesignDocument(design, k, t, lam)
+    try:
+        return DesignDocument(design, data["k"], data["t"], data["lambda"])
+    except StructuralError as exc:
+        raise StructuralError(f"malformed design file: {exc}") from exc
 
 
 def dumps_design(doc: DesignDocument) -> str:

@@ -160,11 +160,12 @@ MASK_BITS_LIMIT = 100_000_000
 
 
 class SearchConfig(_Value):
-    """Knobs for the exact search; budgets must be positive when present."""
+    """Knobs for the exact search; budgets must be positive ints when present."""
 
     def __init__(self, node_budget: int | None = None) -> None:
-        if node_budget is not None and node_budget < 1:
-            raise ValueError(f"node_budget must be positive, got {node_budget}")
+        if node_budget is not None and (type(node_budget) is not int or node_budget < 1):
+            need = "an integer" if type(node_budget) is not int else "positive"
+            raise ValueError(f"node_budget must be {need}, got {node_budget!r}")
         self.__dict__["node_budget"] = node_budget
 
 

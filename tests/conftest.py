@@ -123,6 +123,16 @@ def rng() -> random.Random:
     return random.Random(0xC0FFEE)
 
 
+def sj_quadratic_feasible(d: int, v: int, k: int, t: int = 2) -> bool:
+    """The quadratic counting condition a size-d packing must satisfy at lam = 1.
+
+    The reference for ``gen_second_johnson_feasible`` at lam = 1, which is
+    this test with both sides halved.
+    """
+    q, r = divmod(d * k, v)
+    return d * (d - 1) * (t - 1) >= q * (q - 1) * v + 2 * q * r
+
+
 def linear_first_infeasible(params: DesignParams) -> BoundReport:
     """The convexity bound by testing every d up to the Johnson-Schonheim cap + 1.
 

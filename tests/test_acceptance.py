@@ -37,9 +37,8 @@ from packings import (
     validate_directed,
     validate_packing,
 )
-from packings.bounds import sj_quadratic_feasible
 from packings.solve import OPTIMAL
-from conftest import make_two_fold, point_frequencies
+from conftest import make_two_fold, point_frequencies, sj_quadratic_feasible
 
 GRID = [
     (v, k, lam)

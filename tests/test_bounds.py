@@ -34,12 +34,11 @@ from packings.bounds import (
     _window_edge,
     bound_candidates,
     least_bound,
-    sj_quadratic_feasible,
 )
 from packings import bounds
 from packings.core import choose
 
-from conftest import linear_exact_by_theorems, linear_first_infeasible
+from conftest import linear_exact_by_theorems, linear_first_infeasible, sj_quadratic_feasible
 
 
 def failure_offset(report: BoundReport, params: DesignParams) -> int | None:

@@ -659,3 +659,32 @@ class TestValueTypes:
             SearchConfig(0)
         with pytest.raises(TypeError):
             IndelCode(3, 2, [[0, 1]], True)  # allow_repeats stays keyword-only
+
+    @pytest.mark.parametrize("bad", [10.5, 6.0, True, "6"])
+    def test_fields_that_are_not_ints_are_refused(self, bad):
+        shown = repr(bad)
+        for make, message in (
+            (lambda: DesignParams(bad, 3, 2), f"require integers, got v={shown} k=3 t=2 lam=1"),
+            (lambda: DesignParams(6, bad, 2), f"require integers, got v=6 k={shown} t=2 lam=1"),
+            (lambda: DesignParams(6, 3, bad), f"require integers, got v=6 k=3 t={shown} lam=1"),
+            (lambda: DesignParams(6, 3, 2, bad), f"require integers, got v=6 k=3 t=2 lam={shown}"),
+            (lambda: SearchConfig(bad), f"node_budget must be an integer, got {shown}"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert (exc.type, str(exc.value)) == (ValueError, message)
+        for kind in (PackingDesign, DirectedPackingDesign):
+            with pytest.raises(StructuralError) as exc:
+                kind(bad, [[0, 1]])
+            assert str(exc.value) == f"v must be an integer, got {shown}"
+
+    def test_the_type_checks_come_before_the_range_checks(self):
+        with pytest.raises(ValueError, match=r"^require integers, got v=0 k=1.5 t=True lam=0$"):
+            DesignParams(0, 1.5, True, 0)
+        with pytest.raises(ValueError, match=r"^node_budget must be an integer, got 50.5$"):
+            SearchConfig(50.5)
+        with pytest.raises(StructuralError, match=r"^v must be an integer, got 5.5$"):
+            PackingDesign(5.5, [[0, "x"]])
+        with pytest.raises(StructuralError, match=r"^v must be an integer, got -1.0$"):
+            PackingDesign(-1.0, [])
+        assert SearchConfig(None).node_budget is None and SearchConfig(1).node_budget == 1

@@ -138,6 +138,59 @@ class TestDesignFiles:
             assert loads_design(text) == doc
             assert loads_design(json.dumps(json.loads(text), indent=2)) == doc
 
+    def test_an_accepted_document_always_loads_back(self):
+        # the document checks its header itself, so a file it writes is never refused
+        rng = random.Random(31)
+        fields = (1, 2, 3, 4, 6, 0, -1, None, 1.5, True, "2")
+        accepted = 0
+        for _ in range(2000):
+            v, k, t, lam = (rng.choice(fields) for _ in range(4))
+            # some blocks are longer than k, and a point may be out of range
+            blocks = [rng.sample(range(4), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+            for kind in (PackingDesign, DirectedPackingDesign):
+                try:
+                    doc = DesignDocument(kind(v, blocks), k, t, lam)
+                except ValueError:
+                    continue
+                accepted += 1
+                assert loads_design(dumps_design(doc)) == doc, (v, k, t, lam, blocks)
+        assert accepted >= 100
+
+    def test_header_faults_name_the_field(self, pack_6_3):
+        cases = [
+            ((3, 1.5, 1), "'t' must be an integer"),
+            ((3, True, "1"), "'t' must be an integer"),
+            ((3, 2, None), "'lambda' must be an integer"),
+            ((3, 0, 1), "need t, lambda >= 1, got 0, 1"),
+            (("3", 2, 0), "need t, lambda >= 1, got 2, 0"),
+            ((3.0, 2, 1), "'k' must be an integer"),
+            ((2, 2, 1), "block (0, 1, 2) larger than k=2"),
+        ]
+        for (k, t, lam), message in cases:
+            with pytest.raises(StructuralError) as exc:
+                DesignDocument(pack_6_3, k, t, lam)
+            assert str(exc.value) == message
+            data = {"v": 6, "k": k, "t": t, "lambda": lam, "directed": False,
+                    "blocks": [list(block) for block in pack_6_3.blocks]}
+            with pytest.raises(StructuralError) as exc:
+                design_from_dict(data)
+            assert str(exc.value) == f"malformed design file: {message}"
+
+    def test_a_bad_point_is_named_ahead_of_a_bad_header(self):
+        with pytest.raises(StructuralError) as exc:
+            loads_design(
+                '{"v": 3, "k": 1, "t": 0, "lambda": 1, "directed": false, "blocks": [[0, 3]]}'
+            )
+        assert str(exc.value) == "point 3 out of range for v=3"
+
+    def test_save_refuses_a_bad_header_before_it_writes(self, tmp_path):
+        path = tmp_path / "design.json"
+        path.write_text("kept\n")
+        for k, t, lam in ((2, 2, 1), (3, 0, 1), (3, 2, 1.0)):
+            with pytest.raises(StructuralError):
+                save_design(path, PackingDesign(6, [[0, 1, 2]]), k=k, t=t, lam=lam)
+            assert path.read_bytes() == b"kept\n"
+
     def test_nonpositive_t_or_lambda(self):
         for t, lam in [(0, 1), (2, 0), (-1, 1), (2, -3)]:
             with pytest.raises(StructuralError, match="lambda >= 1"):
