@@ -199,20 +199,42 @@ def gen_second_johnson_bound(params: DesignParams) -> BoundReport:
 
     The detail holds the first failing d with its q and r, or, when no d up
     to cap + 1 fails, ``first_infeasible`` None and ``scanned_to`` cap + 1.
+    When the walk stops at a binomial too large to compute (see
+    ``_convexity_walk``), the value is None, ``scanned_to`` is the last d
+    settled and ``reason`` says why.
     """
     return _convexity_walk(params, johnson_schonheim(params).value)
 
 
 def _convexity_walk(params: DesignParams, cap: int) -> BoundReport:
     """``gen_second_johnson_bound`` given its Johnson-Schonheim cap, so that a
-    caller holding the cap does not compute its nested floor again."""
+    caller holding the cap does not compute its nested floor again.
+
+    Before a segment's searches, the walk bounds the bits of the binomials
+    they compute: C(q, lam) and C(q, lam+1), and when t > 1 also C(d, lam)
+    and C(d, lam+1) for d up to the segment's end.  C(n, j) is less than
+    n^min(j, n-j), so it has at most min(j, n-j) times the bits of n, which
+    grows with n; q <= end, so one bound at n = end (n = q at t = 1) covers
+    them all.  Past ``HORIZON_BITS_LIMIT`` the walk stops and the bound does
+    not apply: at a huge lam, such as the directed shadow's t!*lam, one
+    binomial would otherwise never finish.  A walk whose last d keeps even
+    (lam+1) times its bits within the limit skips the test.
+    """
     v, k, t, lam = params.v, params.k, params.t, params.lam
     last = cap + 1
     stop = min(_passing_horizon(params, last), _bernoulli_horizon(params, last)) - 1
     start = -(-lam * v // k)  # every d below it has q < lam, so the right side is 0
+    sized = (lam + 1) * stop.bit_length() > HORIZON_BITS_LIMIT  # else no segment can pass it
     while start <= stop:
         q = start * k // v
         end = min(((q + 1) * v - 1) // k, stop)
+        if sized:  # min(j, n-j) is at most min(lam+1, n-lam) for j = lam, lam+1
+            n = end if t > 1 else q
+            if min(lam + 1, n - lam) * n.bit_length() > HORIZON_BITS_LIMIT:
+                return BoundReport(None, GEN_SECOND_JOHNSON, {
+                    "first_infeasible": None, "scanned_to": start - 1,
+                    "reason": f"binomials past {HORIZON_BITS_LIMIT:,} bits",
+                })
         rising = k * math.comb(q, lam)
         # at t = 1 the left side is 0, so the difference rises only where rising is 0
         m = _first_true(

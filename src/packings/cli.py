@@ -139,8 +139,7 @@ def cmd_direct(args) -> int:
 
 def cmd_verify(args) -> int:
     doc = load_design(args.input)
-    k = doc.k if doc.k is not None else doc.design.v
-    params = DesignParams(doc.design.v, k, doc.t, doc.lam)
+    params = DesignParams(doc.design.v, doc.k or doc.design.v, doc.t, doc.lam)  # a k is >= t >= 1
     report = validate_packing(doc.design, params)
     print(f"valid: {'yes' if report.valid else 'no'}")
     if report.worst_t_set is not None:

@@ -9,7 +9,6 @@ share no ordered t-subsequence.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import chain, combinations, compress
@@ -57,16 +56,14 @@ def _max_lcs(words) -> int:
     """Largest LCS length over all pairs of words, 0 when no pair shares a symbol.
 
     A pair's LCS is at most its number of matches, so a pair whose match
-    list is no longer than the best LCS so far is skipped.  A list in which
-    no neighbouring pair rises has no rising pair at all, so its LCS is 1
-    without a patience sort: the case of two words that share each common
-    pair of symbols only in reverse, as in a directed packing.
+    list is no longer than the best LCS so far is skipped; otherwise the
+    pair's LCS is the longest increasing subsequence of its list
+    (``_lis_heights``, which needs no patience sort when nothing rises).
     """
     best = 0
     for matches in _shared_matches(words):
         if len(matches) > best:
-            rises = any(map(operator.lt, matches, matches[1:]))
-            best = max(best, max(_lis_heights(matches)) if rises else 1)
+            best = max(best, max(_lis_heights(matches)))
     return best
 
 

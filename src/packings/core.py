@@ -164,12 +164,17 @@ class ValidationReport(_Value):
         )
 
 
-def _lis_heights(seq: Iterable[int]) -> list[int]:
+def _lis_heights(seq: Sequence[int]) -> list[int]:
     """For each entry, the length of the longest strictly increasing subsequence ending there.
 
-    Patience sorting: ``tails[h-1]`` is the least last entry of such a
-    subsequence of length h seen so far, so each entry costs one bisection.
+    When no neighbouring pair rises, no pair rises and every height is 1,
+    as for two blocks or two words of a directed packing; one C-speed pass
+    finds that.  Otherwise patience sorting: ``tails[h-1]`` is the least
+    last entry of such a subsequence of length h seen so far, so each
+    entry costs one bisection.
     """
+    if not any(map(operator.lt, seq, seq[1:])):
+        return [1] * len(seq)
     tails: list[int] = []
     heights = []
     for x in seq:
@@ -185,17 +190,13 @@ def _chain_heights(common: list[int], others: list[dict[int, int]]) -> list[int]
     ``common`` lists the shared points in the order of one block; a chain
     also keeps its order in every block whose position map is in
     ``others``, which holds at least one.  One other block makes this a
-    longest increasing subsequence of positions, read from the right,
-    unless no neighbouring pair rises, when every height is 1 (as when the
-    blocks reverse every shared pair); more take a quadratic scan.
+    longest increasing subsequence of positions, read from the right
+    (``_lis_heights``); more take a quadratic scan.
     """
-    s = len(common)
     if len(others) == 1:
         pos = others[0]
-        seq = [-pos[x] for x in reversed(common)]
-        if not any(map(operator.lt, seq, seq[1:])):  # nothing rises, so no chain passes 1
-            return [1] * s
-        return _lis_heights(seq)[::-1]
+        return _lis_heights([-pos[x] for x in reversed(common)])[::-1]
+    s = len(common)
     keys = [[p[x] for p in others] for x in common]
     heights = [0] * s
     for a in reversed(range(s)):
@@ -319,6 +320,23 @@ def worst_multiplicity(
     return found or _counter_worst(blocks, t)
 
 
+def _blocks_holding(
+    blocks: Sequence[Sequence[int]], t_set: tuple[int, ...], count: int
+) -> tuple[int, ...]:
+    """The indices of the blocks that hold ``t_set`` as a subsequence, which must number ``count``.
+
+    ``count`` is the multiplicity ``worst_multiplicity`` gave the t-set; a
+    different number of holders raises RuntimeError, as it means a bug.
+    """
+    # only a block that holds the first point can hold the t-tuple
+    held = map(operator.contains, blocks, repeat(t_set[0]))
+    candidates = compress(range(len(blocks)), held)
+    holders = tuple(i for i in candidates if is_subsequence(t_set, blocks[i]))
+    if len(holders) != count:
+        raise RuntimeError(f"t-set {t_set} counted {count} times but held by {len(holders)} blocks")
+    return holders
+
+
 def _check_sizes(design: Design, params: DesignParams, uniform: bool) -> None:
     if design.v != params.v:
         raise ValueError(f"design has v={design.v} but params have v={params.v}")
@@ -344,17 +362,7 @@ def validate_packing(
     """
     _check_sizes(design, params, uniform)
     worst, mult = worst_multiplicity(design.blocks, params.t)
-    holders = ()
-    if worst is not None:
-        blocks = design.blocks
-        # only a block that holds the first point can hold the t-tuple
-        held = map(operator.contains, blocks, repeat(worst[0]))
-        candidates = compress(range(len(blocks)), held)
-        holders = tuple(i for i in candidates if is_subsequence(worst, blocks[i]))
-        if len(holders) != mult:
-            raise RuntimeError(
-                f"t-set {worst} counted {mult} times but held by {len(holders)} blocks"
-            )
+    holders = () if worst is None else _blocks_holding(design.blocks, worst, mult)
     return ValidationReport(mult <= params.lam, worst, mult, holders)
 
 

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import deque
 from operator import lt
 
-from .core import DirectedPackingDesign, PackingDesign, worst_multiplicity
+from .core import DirectedPackingDesign, PackingDesign, _blocks_holding, worst_multiplicity
 
 
 class DirectingError(ValueError):
@@ -130,7 +130,10 @@ def _check_directable(design: PackingDesign) -> dict[int, list[int]]:
     """The indices of the blocks holding each point that occurs, once the design is directable."""
     pair, mult = worst_multiplicity(design.blocks, 2)
     if mult > 2:
-        raise DirectingError(f"not a 2-fold packing: pair {pair} appears {mult} times")
+        raise DirectingError(
+            f"not a 2-fold packing: pair {pair} appears {mult} times "
+            f"in blocks {_blocks_holding(design.blocks, pair, mult)}"
+        )
     holders: dict[int, list[int]] = {}
     for i, block in enumerate(design.blocks):
         for x in block:
@@ -138,7 +141,10 @@ def _check_directable(design: PackingDesign) -> dict[int, list[int]]:
     freq = max(map(len, holders.values()), default=0)
     if freq > 3:
         point = min(x for x, hs in holders.items() if len(hs) == freq)
-        raise DirectingError(f"frequency bound violated at point {point}")
+        raise DirectingError(
+            f"more than three blocks, {tuple(holders[point])}, hold one point: "
+            f"frequency bound violated at point {point}"
+        )
     return holders
 
 

@@ -34,7 +34,11 @@ from .core import (
 
 
 class DesignDocument(_Value):
-    """A design plus its header: t, lam ints >= 1, k None or an int that no block outgrows."""
+    """A design plus its header: t, lam ints >= 1, k None or an int that no block outgrows.
+
+    The header must also fit the point count: v >= k >= t, or v >= t when k
+    is None, so that every document gives ``DesignParams(v, k or v, t, lam)``.
+    """
 
     def __init__(self, design: Design, k: int | None, t: int, lam: int) -> None:
         for key, value in (("t", t), ("lambda", lam)):
@@ -47,6 +51,10 @@ class DesignDocument(_Value):
         if k is not None and design.blocks and max(map(len, design.blocks)) > k:
             block = next(block for block in design.blocks if len(block) > k)
             raise StructuralError(f"block {block} larger than k={k}")
+        if k is None and design.v < t:
+            raise StructuralError(f"need v >= t, got v={design.v} t={t}")
+        if k is not None and not design.v >= k >= t:
+            raise StructuralError(f"need v >= k >= t, got v={design.v} k={k} t={t}")
         self.__dict__.update(design=design, k=k, t=t, lam=lam)
 
     @property

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -277,6 +278,39 @@ class TestGenSecondJohnson:
         # the directed shadow at t = 1000 needs no powers of lam = 1000!
         params = DesignParams(3000, 1500, 1000, math.factorial(1000))
         assert _bernoulli_horizon(params, 10**1000) == 3
+
+    def test_binomials_past_the_size_limit_are_not_computed(self):
+        # the directed shadow of (10^12, 53, 12) has lam = 12!, and at the walk's
+        # start d = ceil(lam*v/k) a single C(d, lam) has billions of bits
+        params = DesignParams(10**12, 53, 12, math.factorial(12))
+        start = -(-params.lam * params.v // params.k)
+        assert gen_second_johnson_bound(params) == BoundReport(None, GEN_SECOND_JOHNSON, {
+            "first_infeasible": None, "scanned_to": start - 1,
+            "reason": "binomials past 1,000,000 bits",
+        })
+
+    def test_the_size_bound_covers_every_binomial_of_the_walk(self, monkeypatch, rng):
+        limit = 60
+        monkeypatch.setattr(bounds, "HORIZON_BITS_LIMIT", limit)
+        sizes = []
+
+        def comb(n, j):
+            sizes.append(math.comb(n, j).bit_length())
+            return math.comb(n, j)
+
+        monkeypatch.setattr(bounds, "math", SimpleNamespace(comb=comb))
+        outcomes = set()
+        for _ in range(300):
+            t = rng.randrange(1, 4)
+            k = rng.randrange(t, 40)
+            v = rng.randrange(k, 400)
+            params = DesignParams(v, k, t, rng.choice((1, 2, 5, 20, 60, 200)))
+            rep = gen_second_johnson_bound(params)
+            outcomes.add("reason" in rep.detail)
+            if "reason" in rep.detail:
+                assert rep.value is None
+        assert max(sizes) <= limit
+        assert outcomes == {True, False}  # some walks stop at the bound, some end
 
     @settings(max_examples=100, deadline=None)
     @given(params=long_segment_cells())

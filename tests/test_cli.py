@@ -37,11 +37,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_alone(*argv):
+def run_alone(*argv, timeout=None):
     """Exit code, stdout and stderr of the command line in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(packings.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-m", "packings", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "packings", *argv], capture_output=True, text=True, env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -249,6 +250,20 @@ class TestBounds:
             f"{prefix}johnson-schonheim{suffix}\t3866666\tupper",
             f"{prefix}generalized-second-johnson{suffix}\t3866666\tupper",
             f"best\t3866666\t{'via-undirected' if directed else 'johnson-schonheim'}",
+        ]
+
+    def test_giant_binomials_of_the_directed_shadow_end_in_n_a(self):
+        # the shadow lam is 12!: the convexity walk's first C(d, lam) never finished
+        argv = ("bounds", "--v", "1000000000000", "--k", "53", "--t", "12", "--directed", "--tsv")
+        code, out, err = run_alone(*argv, timeout=60)
+        assert (code, err) == (0, "")
+        js = johnson_schonheim(DesignParams(10**12, 53, 12, math.factorial(12))).value
+        assert out.splitlines() == [
+            "provenance\tvalue\tkind",
+            f"via-undirected(johnson-schonheim)\t{js}\tupper",
+            "via-undirected(generalized-second-johnson)\t\tn/a",
+            "via-undirected(exact-window)\t\tn/a",
+            f"best\t{js}\tvia-undirected",
         ]
 
     def test_values_past_4300_digits_print_exactly(self, capsys):

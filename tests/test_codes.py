@@ -18,7 +18,7 @@ from packings import (
     to_constant_weight,
     to_indel_code,
 )
-from packings import codes
+from packings import codes, core
 from packings.core import _lis_heights as core_lis_heights
 
 
@@ -375,6 +375,14 @@ class TestAllPairsLcs:
             assert codes._max_lcs(words) == expected, words
             flat += expected == 1
         assert flat > 100  # the shortcut's case is well covered
+
+    def test_reversed_pairs_need_no_patience_sort(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bisect_left ran on a match list in which nothing rises")
+
+        monkeypatch.setattr(core, "bisect_left", refuse)
+        # every pair of words shares its common symbols only in reverse
+        assert codes._max_lcs(((0, 1, 2, 3), (3, 2, 1, 0), (6, 5, 4, 3), (3, 4, 5, 6))) == 1
 
     def test_words_sharing_nothing(self):
         assert max_pairwise_lcs(IndelCode(9, 3, ((0, 1, 2), (3, 4, 5), (8, 7, 6)))) == 0

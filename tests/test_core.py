@@ -319,10 +319,19 @@ class TestMultiplicityPaths:
         for s in [0, 1] * 4 + [2] * 20 + [rng.randrange(3, 80) for _ in range(400)]:
             common = rng.sample(range(300), s)
             pos = dict(zip(common, self.other_positions(rng, s)))
-            reference = core._lis_heights([-pos[x] for x in reversed(common)])[::-1]
+            reference = core._chain_heights(common, [pos, pos])  # the quadratic scan
             assert core._chain_heights(common, [pos]) == reference, (common, pos)
             flat += s > 1 and max(reference) == 1
         assert flat > 150  # the shortcut's case is well covered
+
+    def test_nothing_rising_needs_no_patience_sort(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bisect_left ran on a sequence in which nothing rises")
+
+        monkeypatch.setattr(core, "bisect_left", refuse)
+        assert core._lis_heights([3, 3, 1]) == [1, 1, 1]
+        assert core._lis_heights([]) == []
+        assert core._chain_heights([4, 7, 9], [{4: 2, 7: 1, 9: 0}]) == [1, 1, 1]  # all reversed
 
     @staticmethod
     def window_designs():

@@ -263,6 +263,19 @@ class TestDirectPacking:
         with pytest.raises(DirectingError, match="frequency bound violated at point 0"):
             direct_packing(d)
 
+    def test_errors_name_the_blocks(self):
+        d = PackingDesign(6, ((0, 1, 2), (3, 4), (0, 1, 3), (0, 1, 5)))
+        with pytest.raises(DirectingError) as exc:
+            direct_packing(d)
+        assert str(exc.value) == "not a 2-fold packing: pair (0, 1) appears 3 times in blocks (0, 2, 3)"
+        d = PackingDesign(7, ((1, 2), (0, 3), (4,), (0, 4), (0, 5), (0, 6)))
+        with pytest.raises(DirectingError) as exc:
+            direct_packing(d)
+        assert str(exc.value) == (
+            "more than three blocks, (1, 3, 4, 5), hold one point: "
+            "frequency bound violated at point 0"
+        )
+
     def test_pair_overuse_rejected(self):
         d = PackingDesign(5, ((0, 1, 2), (0, 1, 3), (0, 1, 4)))
         with pytest.raises(DirectingError, match="not a 2-fold packing"):

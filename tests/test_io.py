@@ -143,7 +143,7 @@ class TestDesignFiles:
         rng = random.Random(31)
         fields = (1, 2, 3, 4, 6, 0, -1, None, 1.5, True, "2")
         accepted = 0
-        for _ in range(2000):
+        for _ in range(5000):
             v, k, t, lam = (rng.choice(fields) for _ in range(4))
             # some blocks are longer than k, and a point may be out of range
             blocks = [rng.sample(range(4), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
@@ -154,6 +154,7 @@ class TestDesignFiles:
                     continue
                 accepted += 1
                 assert loads_design(dumps_design(doc)) == doc, (v, k, t, lam, blocks)
+                DesignParams(doc.design.v, doc.k or doc.design.v, doc.t, doc.lam)  # as verify does
         assert accepted >= 100
 
     def test_header_faults_name_the_field(self, pack_6_3):
@@ -190,6 +191,24 @@ class TestDesignFiles:
             with pytest.raises(StructuralError):
                 save_design(path, PackingDesign(6, [[0, 1, 2]]), k=k, t=t, lam=lam)
             assert path.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("v, k, t, message", [
+        (5, 10, 2, "need v >= k >= t, got v=5 k=10 t=2"),
+        (5, 2, 3, "need v >= k >= t, got v=5 k=2 t=3"),
+        (5, None, 7, "need v >= t, got v=5 t=7"),
+    ], ids=["k-above-v", "t-above-k", "t-above-v"])
+    def test_save_refuses_a_header_that_outgrows_the_points(self, tmp_path, v, k, t, message):
+        # each of these once wrote a file that verify then refused
+        path = tmp_path / "design.json"
+        path.write_text("kept\n")
+        with pytest.raises(StructuralError) as exc:
+            save_design(path, PackingDesign(v, [[0, 1]]), k=k, t=t)
+        assert str(exc.value) == message
+        assert path.read_bytes() == b"kept\n"
+        data = {"v": v, "k": k, "t": t, "lambda": 1, "directed": False, "blocks": [[0, 1]]}
+        with pytest.raises(StructuralError) as exc:
+            design_from_dict(data)
+        assert str(exc.value) == f"malformed design file: {message}"
 
     def test_nonpositive_t_or_lambda(self):
         for t, lam in [(0, 1), (2, 0), (-1, 1), (2, -3)]:
